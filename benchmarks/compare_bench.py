@@ -111,10 +111,12 @@ def newest_baseline(root: Path = REPO_ROOT,
 SPEEDUP_FLOORS = {
     "bsm": 5.0,
     "link_delivery_round": 1.0,
-    # The swap-heavy traffic scenario is where the Bell-diagonal engine
-    # pays off end to end; the vectorised-core PR measured ~3.7x warm, so
-    # 2.0 is comfortably below noise yet above the pre-vectorisation 1.95.
-    "traffic_round": 2.0,
+    # The swap-heavy traffic scenario: the invariant is that bell is not
+    # slower than dm.  The ratio used to sit at 2-4x only because the
+    # exact engine applied channels one Kraus operator at a time; with its
+    # superoperator kernel the dm round is ~1.2-1.3x the bell round, so a
+    # faster dm denominator must not read as a bell regression.
+    "traffic_round": 1.0,
 }
 
 #: Simulated-throughput floors enforced by ``--check-speedups``: the fresh

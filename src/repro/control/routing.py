@@ -50,10 +50,11 @@ import numpy as np
 from ..hardware.heralded import SingleClickModel
 from ..netsim.units import S
 from ..quantum.bell import BellIndex
-from ..quantum.channels import decoherence_kraus
 from ..quantum.fidelity import bell_fidelity
 from ..quantum.gates import PAULI_FRAME
 from ..quantum.operations import NoisyOpParams, averaged_swap_dm
+from ..quantum.qubit import Qubit
+from ..quantum.states import QState
 from ..core.circuit import RoutingEntry
 
 CutoffPolicy = Union[str, float, None]
@@ -109,16 +110,11 @@ def _age_pair(dm: np.ndarray, elapsed: float, t1: float, t2: float) -> np.ndarra
     """Apply memory decoherence to both qubits of a pair state."""
     if elapsed <= 0:
         return dm
-    identity = np.eye(2, dtype=complex)
-    aged = np.zeros_like(dm)
-    for op_a in decoherence_kraus(elapsed, t1, t2):
-        big = np.kron(op_a, identity)
-        aged += big @ dm @ big.conj().T
-    result = np.zeros_like(dm)
-    for op_b in decoherence_kraus(elapsed, t1, t2):
-        big = np.kron(identity, op_b)
-        result += big @ aged @ big.conj().T
-    return result
+    pair = [Qubit("a"), Qubit("b")]
+    state = QState(dm, pair)
+    for qubit in pair:
+        state.apply_decoherence(elapsed, t1, t2, qubit)
+    return state.dm
 
 
 #: Process-wide budget/ceiling memoisation.  The solves depend only on

@@ -10,16 +10,18 @@ These model the loss mechanisms the paper enumerates in Sec 2.3:
 All builders are memoized: the simulation asks for the same handful of
 channels millions of times (gate noise probabilities are fixed per hardware
 profile), so each distinct parameter set is constructed once and the same
-operator tuple is returned on every subsequent call.  The returned arrays
-are **read-only** — callers must never mutate them (a regression test pins
-this).
+:class:`Channel` is returned on every subsequent call.  A channel is the
+tuple of its Kraus operators and also carries its superoperator
+(:func:`superoperator`), computed once, which is what the density-matrix
+engine contracts against the state.  Both are **read-only** — callers must
+never mutate them (a regression test pins this).
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -35,18 +37,54 @@ def _frozen(*ops: np.ndarray) -> tuple[np.ndarray, ...]:
     return ops
 
 
+def superoperator(kraus_ops: Iterable[np.ndarray]) -> np.ndarray:
+    """The channel's superoperator ``S[i,j,a,b] = Σ_K K[i,a]·conj(K[j,b])``.
+
+    Returned as a ``d² × d²`` matrix with row ``i·d + j`` and column
+    ``a·d + b``, i.e. ``Σ_K K ⊗ conj(K)``: one matrix product of ``S``
+    against the flattened ``(row, column)`` target axes applies the whole
+    Kraus sum ``Σ_K K ρ K†``.
+    """
+    total = None
+    for op in kraus_ops:
+        op = np.asarray(op, dtype=complex)
+        term = np.kron(op, op.conj())
+        total = term if total is None else total + term
+    if total is None:
+        raise ValueError("channel has no Kraus operators")
+    return total
+
+
+class Channel(tuple):
+    """Read-only Kraus operators of one channel plus its superoperator.
+
+    Iterates like the plain Kraus tuple it replaces; ``superop`` is the
+    :func:`superoperator` of those operators (or an exact closed form of
+    it), computed once when the memoized builder first runs.
+    """
+
+    superop: np.ndarray
+
+    def __new__(cls, ops: Sequence[np.ndarray],
+                superop: Optional[np.ndarray] = None) -> "Channel":
+        channel = super().__new__(cls, ops)
+        channel.superop = superoperator(ops) if superop is None else superop
+        _frozen(*ops, channel.superop)
+        return channel
+
+
 @lru_cache(maxsize=4096)
 def dephasing_kraus(p: float) -> KrausOps:
     """Phase-flip channel: applies Z with probability ``p``."""
     _check_probability(p)
-    return _frozen(math.sqrt(1 - p) * I2, math.sqrt(p) * Z)
+    return Channel((math.sqrt(1 - p) * I2, math.sqrt(p) * Z))
 
 
 @lru_cache(maxsize=None)
 def bitflip_kraus(p: float) -> KrausOps:
     """Bit-flip channel: applies X with probability ``p``."""
     _check_probability(p)
-    return _frozen(math.sqrt(1 - p) * I2, math.sqrt(p) * X)
+    return Channel((math.sqrt(1 - p) * I2, math.sqrt(p) * X))
 
 
 @lru_cache(maxsize=None)
@@ -56,12 +94,12 @@ def depolarizing_kraus(p: float) -> KrausOps:
     With probability ``p`` one of X/Y/Z is applied uniformly.
     """
     _check_probability(p)
-    return _frozen(
+    return Channel((
         math.sqrt(1 - p) * I2,
         math.sqrt(p / 3) * X,
         math.sqrt(p / 3) * Y,
         math.sqrt(p / 3) * Z,
-    )
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +117,7 @@ def two_qubit_depolarizing_kraus(p: float) -> KrausOps:
         for j, pb in enumerate(paulis):
             weight = 1 - p if (i == 0 and j == 0) else p / 15
             ops.append(math.sqrt(weight) * np.kron(pa, pb))
-    return _frozen(*ops)
+    return Channel(ops)
 
 
 @lru_cache(maxsize=4096)
@@ -88,7 +126,7 @@ def amplitude_damping_kraus(gamma: float) -> KrausOps:
     _check_probability(gamma)
     k0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
     k1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
-    return _frozen(k0, k1)
+    return Channel((k0, k1))
 
 
 def decoherence_probabilities(elapsed: float, t1: float,
@@ -113,6 +151,22 @@ def decoherence_probabilities(elapsed: float, t1: float,
     return gamma, dephase_prob
 
 
+def decoherence_superop(gamma: float, dephase_prob: float) -> np.ndarray:
+    """Closed-form superoperator of the T1/T2 memory channel.
+
+    Amplitude damping with decay probability ``gamma`` followed by a phase
+    flip with probability ``dephase_prob`` (the pair
+    :func:`decoherence_probabilities` returns) moves ``γ·ρ₁₁`` into ``ρ₀₀``
+    and scales both coherences by ``√(1−γ)·(1−2p)``.  Built fresh on every
+    call: idle times are continuous, so a memo would only grow.
+    """
+    coherence = math.sqrt(1.0 - gamma) * (1.0 - 2.0 * dephase_prob)
+    return np.array([[1.0, 0.0, 0.0, gamma],
+                     [0.0, coherence, 0.0, 0.0],
+                     [0.0, 0.0, coherence, 0.0],
+                     [0.0, 0.0, 0.0, 1.0 - gamma]], dtype=complex)
+
+
 @lru_cache(maxsize=4096)
 def decoherence_kraus(elapsed: float, t1: float, t2: float) -> KrausOps:
     """Combined T1/T2 memory channel for ``elapsed`` ns of idle time.
@@ -122,18 +176,19 @@ def decoherence_kraus(elapsed: float, t1: float, t2: float) -> KrausOps:
     operators (damping then dephasing — the two commute in their effect on
     the density matrix when composed over infinitesimal steps; for the
     exponential model the ordering error is zero because both are diagonal
-    in the same operator basis combination used here).
+    in the same operator basis combination used here), carrying the
+    closed-form :func:`decoherence_superop`.
     """
     if elapsed < 0:
         raise ValueError("elapsed time must be non-negative")
     if elapsed == 0:
-        return _frozen(I2.copy())
+        return Channel((I2.copy(),))
     gamma, dephase_prob = decoherence_probabilities(elapsed, t1, t2)
     ops: list[np.ndarray] = []
     for damping_op in amplitude_damping_kraus(gamma):
         for dephasing_op in dephasing_kraus(dephase_prob):
             ops.append(dephasing_op @ damping_op)
-    return _frozen(*ops)
+    return Channel(ops, decoherence_superop(gamma, dephase_prob))
 
 
 @lru_cache(maxsize=None)

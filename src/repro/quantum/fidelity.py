@@ -9,7 +9,6 @@ entanglement, ~0.8 suffices for basic QKD).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .bell import bell_vector
 from .bellstate import BellPairState, exact_state
@@ -33,6 +32,10 @@ def bell_fidelity(dm: np.ndarray, bell_index: int = 0) -> float:
 
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity  F(ρ,σ) = (tr √(√ρ σ √ρ))²  between two mixed states."""
+    # Imported here: scipy costs every ``import repro`` a noticeable share
+    # of start-up time and memory, and nothing on the simulation path needs it.
+    from scipy.linalg import sqrtm
+
     sqrt_rho = sqrtm(np.asarray(rho, dtype=complex))
     inner = sqrtm(sqrt_rho @ np.asarray(sigma, dtype=complex) @ sqrt_rho)
     value = float(np.real(np.trace(inner)) ** 2)

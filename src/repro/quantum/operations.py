@@ -21,7 +21,7 @@ import numpy as np
 from .bell import swap_combine
 from .bellstate import BellPairState, exact_state as _exact_state, swap_measure
 from .channels import two_qubit_depolarizing_kraus, depolarizing_kraus
-from .gates import CNOT, H, PAULI_FRAME, S, X, Z
+from .gates import CNOT, H, I2, PAULI_FRAME, S, X, Z
 from .qubit import Qubit
 from .states import QState
 
@@ -246,25 +246,23 @@ def averaged_swap_dm(rho_ab: np.ndarray, rho_bc: np.ndarray,
     state.apply_unitary(CNOT, [qubits[1], qubits[2]])
     state.apply_unitary(H, [qubits[1]])
 
+    # Axes: rows A, B1, B2, C then columns A, B1, B2, C.  Each outcome's
+    # unnormalised A-C branch is the (B1, B2) = outcome block of both.
+    tensor = state.dm.reshape((2,) * 8)
     result = np.zeros((4, 4), dtype=complex)
     for outcome in range(4):
         phase_bit, parity_bit = (outcome >> 1) & 1, outcome & 1
-        proj = np.kron(np.diag([1 - phase_bit, phase_bit]),
-                       np.diag([1 - parity_bit, parity_bit])).astype(complex)
-        branch = state._sandwich(proj, [1, 2])
-        prob = float(np.real(np.trace(branch)))
+        rho_ac = tensor[:, phase_bit, parity_bit, :,
+                        :, phase_bit, parity_bit, :].reshape(4, 4)
+        prob = float(np.real(np.trace(rho_ac)))
         if prob <= 1e-15:
             continue
-        tensor = branch.reshape([2] * 8)
-        # Trace out B1 (axis 1/5) then B2 (now axis 1/4).
-        tensor = np.trace(tensor, axis1=1, axis2=5)
-        tensor = np.trace(tensor, axis1=1, axis2=4)
-        rho_ac = tensor.reshape(4, 4)
         for reported in range(4):
             mislabel_prob = _report_probability(outcome, reported, ops)
             if mislabel_prob <= 0:
                 continue
-            corrected = _frame_correct(rho_ac / prob, swap_combine(0, 0, reported))
+            frame = _FRAME_ON_C[swap_combine(0, 0, reported)]
+            corrected = frame.conj().T @ (rho_ac / prob) @ frame
             result += prob * mislabel_prob * corrected
     return result
 
@@ -280,11 +278,9 @@ def _report_probability(true_outcome: int, reported: int, ops: NoisyOpParams) ->
     return prob
 
 
-def _frame_correct(rho: np.ndarray, reported_index: int) -> np.ndarray:
-    """Rotate ``rho`` from the reported Bell frame back to Φ+."""
-    pauli = PAULI_FRAME[int(reported_index) & 0b11]
-    op = np.kron(np.eye(2, dtype=complex), pauli)
-    return op.conj().T @ rho @ op
+#: ``I ⊗ P`` for each Pauli frame: the correction that rotates an A-C pair
+#: from the reported Bell frame back to Φ+.
+_FRAME_ON_C = tuple(np.kron(I2, pauli) for pauli in PAULI_FRAME)
 
 
 def teleport(data_qubit: Qubit, pair_near: Qubit, pair_far: Qubit, rng,

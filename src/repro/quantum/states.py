@@ -5,8 +5,12 @@ is the NetSquid-formalism substitute: protocols never touch matrices, they
 hold :class:`~repro.quantum.qubit.Qubit` handles and call the operations in
 :mod:`repro.quantum.operations`.
 
-The engine is exact: gates and channels are applied by tensor contraction
-on the 2^n × 2^n density matrix.  In this system ``n`` never exceeds 4
+The engine is exact.  A channel on ``k`` target qubits is one matrix
+product of its ``4^k × 4^k`` superoperator (carried by the memoized
+:class:`~repro.quantum.channels.Channel`) against the state's target row
+and column axes, moved to the front; a unitary is ``U X U†`` on the same
+moved axes.  Measurements read outcome probabilities off the diagonal and
+keep the outcome block by slicing.  In this system ``n`` never exceeds 4
 (two entangled pairs merged for an entanglement swap), so everything stays
 tiny and fast.
 """
@@ -18,7 +22,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import decoherence_kraus, dephasing_kraus, depolarizing_kraus
+from .channels import (
+    decoherence_probabilities,
+    decoherence_superop,
+    dephasing_kraus,
+    depolarizing_kraus,
+    superoperator,
+)
 from .gates import PAULI_FRAME
 from .qubit import Qubit
 
@@ -111,8 +121,7 @@ class QState:
 
     def probability_of(self, projector: np.ndarray, targets: Sequence[Qubit]) -> float:
         """Probability of the projector on the given qubits."""
-        projected = self._contract(projector, [self.index_of(q) for q in targets])
-        return float(np.real(np.trace(projected)))
+        return float(np.real(np.trace(projector @ self.reduced_dm(targets))))
 
     # ------------------------------------------------------------------
     # Evolution
@@ -120,19 +129,20 @@ class QState:
 
     def apply_unitary(self, unitary: np.ndarray, targets: Sequence[Qubit]) -> None:
         """Apply a unitary to the given qubits (in order)."""
-        indices = [self.index_of(q) for q in targets]
-        self.dm = self._sandwich(unitary, indices)
+        indices = tuple(self.index_of(q) for q in targets)
+        self.dm = _conjugate(self.dm, unitary, indices, len(self.qubits))
 
     def apply_channel(self, kraus_ops: Iterable[np.ndarray], targets: Sequence[Qubit]) -> None:
-        """Apply a Kraus channel to the given qubits (in order)."""
-        indices = [self.index_of(q) for q in targets]
-        result = None
-        for op in kraus_ops:
-            term = self._sandwich(op, indices)
-            result = term if result is None else result + term
-        if result is None:
-            raise ValueError("channel has no Kraus operators")
-        self.dm = result
+        """Apply a Kraus channel to the given qubits (in order).
+
+        Memoized :class:`~repro.quantum.channels.Channel` instances carry
+        their superoperator; any other Kraus iterable gets one built here.
+        """
+        superop = getattr(kraus_ops, "superop", None)
+        if superop is None:
+            superop = superoperator(kraus_ops)
+        indices = tuple(self.index_of(q) for q in targets)
+        self.dm = _evolve(self.dm, superop, indices, len(self.qubits))
 
     # ------------------------------------------------------------------
     # Named noise channels (shared interface with the Bell-diagonal backend)
@@ -152,7 +162,9 @@ class QState:
                           qubit: Qubit) -> None:
         """Combined T1/T2 memory channel for ``elapsed`` ns of idle time."""
         if elapsed > 0:
-            self.apply_channel(decoherence_kraus(elapsed, t1, t2), [qubit])
+            superop = decoherence_superop(*decoherence_probabilities(elapsed, t1, t2))
+            self.dm = _evolve(self.dm, superop, (self.index_of(qubit),),
+                              len(self.qubits))
 
     def apply_pauli(self, frame_index: int, qubit: Qubit) -> None:
         """Apply the Pauli frame ``X^b Z^a`` (packed two-bit index)."""
@@ -167,18 +179,26 @@ class QState:
         layer on top, handled in :mod:`repro.quantum.operations`).
         """
         position = self.index_of(qubit)
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        prob0 = float(np.real(np.trace(self._contract(p0, [position]))))
-        prob0 = min(max(prob0, 0.0), 1.0)
+        n = self.num_qubits
+        before, after = 2 ** position, 2 ** (n - position - 1)
+        populations = np.real(np.diagonal(self.dm)).reshape(before, 2, after)
+        probs = populations.sum(axis=(0, 2))
+        prob0 = min(max(float(probs[0]), 0.0), 1.0)
         outcome = 0 if rng.random() < prob0 else 1
-        projector = np.diag([1.0, 0.0] if outcome == 0 else [0.0, 1.0]).astype(complex)
-        self.dm = self._sandwich(projector, [position])
-        norm = float(np.real(np.trace(self.dm)))
+        norm = float(probs[outcome])
         if norm <= _TOL:
             raise RuntimeError("measurement collapsed to zero-probability branch")
-        self.dm /= norm
+        # Rows and columns both split as (qubits before, measured, after).
+        tensor = self.dm.reshape(before, 2, after, before, 2, after)
+        block = tensor[:, outcome, :, :, outcome, :] / norm
         if remove:
-            self.remove(qubit)
+            self.qubits.pop(position)
+            qubit.state = None
+            self.dm = block.reshape(before * after, before * after)
+        else:
+            collapsed = np.zeros_like(tensor)
+            collapsed[:, outcome, :, :, outcome, :] = block
+            self.dm = collapsed.reshape(2 ** n, 2 ** n)
         return outcome
 
     def remove(self, qubit: Qubit) -> None:
@@ -212,79 +232,54 @@ class QState:
             dm = _permute_qubits(dm, keep)
         return dm
 
-    # ------------------------------------------------------------------
-    # Tensor plumbing
-    # ------------------------------------------------------------------
-
-    def _sandwich(self, op: np.ndarray, indices: list[int]) -> np.ndarray:
-        """Compute ``op ρ op†`` with ``op`` acting on the given qubit indices."""
-        rho = _apply_left(self.dm, op, indices, self.num_qubits)
-        return _apply_right(rho, op.conj().T, indices, self.num_qubits)
-
-    def _contract(self, op: np.ndarray, indices: list[int]) -> np.ndarray:
-        """Compute ``op ρ`` (left application only), for probabilities."""
-        return _apply_left(self.dm, op, indices, self.num_qubits)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = ",".join(q.name for q in self.qubits)
         return f"<QState [{names}]>"
 
 
 @lru_cache(maxsize=None)
-def _left_perm(n: int, targets: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse transpose permutation for :func:`_apply_left`.
+def _target_axes(n: int, targets: tuple[int, ...]):
+    """Axis plumbing shared by the channel and unitary kernels.
 
-    After the tensordot the op's output axes sit first, followed by the
-    remaining axes in original order; this permutation moves every axis back
-    to its home position.  The argument space is tiny (n ≤ 4, a handful of
-    target tuples) but each entry used to cost O(n²) ``list.index`` calls on
-    every single gate application — the hottest line of the exact engine.
+    Returns the dm's tensor shape, the transpose that moves the target row
+    axes and then the target column axes to the front (the rest keep their
+    order behind them), and its inverse.  The argument space is tiny (n ≤ 4,
+    a handful of target tuples), so each entry is computed once.
     """
-    rest = [axis for axis in range(2 * n) if axis not in targets]
-    current_order = list(targets) + rest
-    perm = [0] * (2 * n)
-    for position, axis in enumerate(current_order):
-        perm[axis] = position
-    return tuple(perm)
+    columns = tuple(t + n for t in targets)
+    forward = targets + columns + tuple(
+        axis for axis in range(2 * n) if axis not in targets and axis not in columns)
+    inverse = [0] * (2 * n)
+    for position, axis in enumerate(forward):
+        inverse[axis] = position
+    return (2,) * (2 * n), forward, tuple(inverse)
 
 
-@lru_cache(maxsize=None)
-def _right_perm(n: int, targets: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse transpose permutation for :func:`_apply_right` (op axes last)."""
-    column_targets = [t + n for t in targets]
-    rest = [axis for axis in range(2 * n) if axis not in column_targets]
-    current_order = rest + column_targets
-    perm = [0] * (2 * n)
-    for position, axis in enumerate(current_order):
-        perm[axis] = position
-    return tuple(perm)
+def _evolve(dm: np.ndarray, superop: np.ndarray, targets: tuple[int, ...],
+            n: int) -> np.ndarray:
+    """``Σ_K K ρ K†`` as one product of the superoperator with the
+    flattened (target rows, target columns) axes of ``dm``."""
+    dim = 4 ** len(targets)
+    if superop.shape != (dim, dim):
+        raise ValueError(f"superoperator shape {superop.shape} does not match "
+                         f"{len(targets)} targets")
+    shape, forward, inverse = _target_axes(n, targets)
+    moved = dm.reshape(shape).transpose(forward).reshape(dim, -1)
+    return (superop @ moved).reshape(shape).transpose(inverse).reshape(dm.shape)
 
 
-def _apply_left(dm: np.ndarray, op: np.ndarray, targets: list[int], n: int) -> np.ndarray:
-    """Multiply ``op`` (on ``targets``) into the row indices of ``dm``."""
-    k = len(targets)
-    if op.shape != (2 ** k, 2 ** k):
-        raise ValueError(f"operator shape {op.shape} does not match {k} targets")
-    tensor = dm.reshape([2] * (2 * n))
-    op_tensor = op.reshape([2] * (2 * k))
-    contracted = np.tensordot(op_tensor, tensor,
-                              axes=(list(range(k, 2 * k)), targets))
-    # tensordot puts the op's output axes first; move them back into place.
-    perm = _left_perm(n, tuple(targets))
-    return contracted.transpose(perm).reshape(2 ** n, 2 ** n)
-
-
-def _apply_right(dm: np.ndarray, op: np.ndarray, targets: list[int], n: int) -> np.ndarray:
-    """Multiply ``op`` (on ``targets``) into the column indices of ``dm``."""
-    column_targets = [t + n for t in targets]
-    k = len(targets)
-    tensor = dm.reshape([2] * (2 * n))
-    op_tensor = op.reshape([2] * (2 * k))
-    contracted = np.tensordot(tensor, op_tensor,
-                              axes=(column_targets, list(range(k))))
-    # tensordot appends the op's output axes at the end; restore positions.
-    perm = _right_perm(n, tuple(targets))
-    return contracted.transpose(perm).reshape(2 ** n, 2 ** n)
+def _conjugate(dm: np.ndarray, unitary: np.ndarray, targets: tuple[int, ...],
+               n: int) -> np.ndarray:
+    """``U ρ U†`` on the target axes: ``U`` on the rows, ``conj(U)`` on the
+    columns, both as matrix products on the moved axes."""
+    dim = 2 ** len(targets)
+    if unitary.shape != (dim, dim):
+        raise ValueError(f"operator shape {unitary.shape} does not match "
+                         f"{len(targets)} targets")
+    shape, forward, inverse = _target_axes(n, targets)
+    moved = dm.reshape(shape).transpose(forward).reshape(dim, -1)
+    rows = (unitary @ moved).reshape(dim, dim, -1)
+    return (unitary.conj() @ rows).reshape(shape).transpose(inverse).reshape(dm.shape)
 
 
 def _permute_qubits(dm: np.ndarray, keep_positions: list[int]) -> np.ndarray:

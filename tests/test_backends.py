@@ -38,7 +38,7 @@ from repro.quantum.operations import (
     measure_qubit,
     pauli_correct,
 )
-from repro.quantum.states import QState, _apply_left
+from repro.quantum.states import QState, _conjugate
 from repro.quantum.gates import rx
 
 WEIGHTS = (0.8, 0.1, 0.06, 0.04)
@@ -209,7 +209,8 @@ def test_cached_kraus_operators_are_shared_and_immutable():
         first = build(*args)
         second = build(*args)
         assert first is second, build.__name__
-        for op in first:
+        assert first.superop is second.superop, build.__name__
+        for op in (*first, first.superop):
             assert not op.flags.writeable
             with pytest.raises(ValueError):
                 op[0, 0] = 99.0
@@ -217,19 +218,21 @@ def test_cached_kraus_operators_are_shared_and_immutable():
 
 def test_cached_kraus_survive_channel_application():
     """Applying a cached channel must not corrupt the cached operators."""
-    ops_before = [op.copy() for op in decoherence_kraus(2e6, 3.6e12, 6e10)]
+    channel = decoherence_kraus(2e6, 3.6e12, 6e10)
+    ops_before = [op.copy() for op in (*channel, channel.superop)]
     for _ in range(3):
         qubit_a, qubit_b = get_backend("dm").create_pair_from_weights(WEIGHTS)
         state = qubit_a.state
         state.apply_channel(decoherence_kraus(2e6, 3.6e12, 6e10), [qubit_a])
         state.measure(qubit_a, random.Random(1))
-    for before, after in zip(ops_before, decoherence_kraus(2e6, 3.6e12, 6e10)):
+    channel = decoherence_kraus(2e6, 3.6e12, 6e10)
+    for before, after in zip(ops_before, (*channel, channel.superop)):
         assert np.array_equal(before, after)
 
 
 def test_cached_permutations_are_correct():
-    """The memoized transpose permutations reproduce the direct contraction
-    for every (n, targets) pair used by the engine."""
+    """The memoized axis permutations reproduce the direct conjugation
+    by the kron-expanded operator for every (n, target) the engine uses."""
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 4):
         dm = rng.normal(size=(2 ** n, 2 ** n)) \
@@ -241,8 +244,8 @@ def test_cached_permutations_are_correct():
             full = expanded[0]
             for factor in expanded[1:]:
                 full = np.kron(full, factor)
-            direct = full @ dm
-            via_engine = _apply_left(dm, op, [target], n)
+            direct = full @ dm @ full.conj().T
+            via_engine = _conjugate(dm, op, (target,), n)
             assert np.allclose(direct, via_engine, atol=1e-10), (n, target)
 
 
