@@ -122,7 +122,7 @@ SPEEDUP_FLOORS = {
 #: Simulated-throughput floors enforced by ``--check-speedups``: the fresh
 #: payload's ``traffic_pairs_per_s[formalism]`` (from the ``traffic_soak``
 #: scenario) must reach the floor.  936 pairs/s was the PR 5 scenario's
-#: rate; the batched-EGP + SoA-store core must sustain >= 10x that.
+#: rate; the current core must sustain >= 10x that.
 THROUGHPUT_FLOORS = {
     "bell": 9360.0,
 }

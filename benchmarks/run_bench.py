@@ -160,10 +160,9 @@ def bench_traffic_soak(formalism: str):
     single-hop circuits run at the link EER (no swap losses), so the
     simulated pair rate — and with it the number of live pairs, timeslot
     chains and scheduler events per simulated second — is an order of
-    magnitude above ``traffic_round``.  Feasible as a benchmark at all
-    because of the batched EGP chains and the SoA weight store; the
-    ``traffic_pairs_per_s`` CI floor (≥ 9360 for ``bell``, 10x the PR 5
-    scenario's 936) pins that capability.
+    magnitude above ``traffic_round``.  The ``traffic_pairs_per_s`` CI
+    floor (≥ 9360 for ``bell``, 10x the 936 pairs/s of the earlier 3x3
+    traffic scenario) pins that capability.
     """
     from repro.traffic import TrafficEngine, build_topology
 

@@ -73,7 +73,13 @@ class CircuitRuntime:
     epochs: EpochManager = field(default_factory=EpochManager)
     demux: SymmetricDemultiplexer = None  # type: ignore[assignment]
     in_transit: dict = field(default_factory=dict)
+    #: Every request the circuit has seen (late TRACKs look up completed
+    #: records here), in arrival order.
     requests: dict = field(default_factory=dict)
+    #: Head-end only: the queued and active records of ``requests``, in
+    #: the same order, pruned as they go terminal — the head-end's
+    #: per-start/per-completion scans walk this instead of the full log.
+    open_requests: dict = field(default_factory=dict)
     # Head-end only.
     policer: Optional[Policer] = None
     link_request_active: bool = False
@@ -154,8 +160,8 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
         if runtime is None:
             return
         self._stop_downstream_link(runtime)
-        for record in runtime.requests.values():
-            if record.handle is not None and record.handle.status in (
+        for record in runtime.open_requests.values():
+            if record.handle.status in (
                     RequestStatus.ACTIVE, RequestStatus.QUEUED):
                 # Shaped (queued) requests must abort too: their bandwidth
                 # will never free up on a circuit that no longer exists, and
@@ -231,6 +237,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
             handle.status = RequestStatus.REJECTED
             return handle
         runtime.requests[request.request_id] = record
+        runtime.open_requests[request.request_id] = record
         if decision == PolicerDecision.ACCEPT:
             self._head_start_request(runtime, record)
         else:
@@ -251,6 +258,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
             runtime.policer.drop_queued(request_id)
             handle.status = RequestStatus.ABORTED
             del runtime.requests[request_id]
+            del runtime.open_requests[request_id]
             return
         if handle is not None and handle.status == RequestStatus.ACTIVE:
             self._head_complete_request(runtime, record)
@@ -294,6 +302,7 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
             handle.status = RequestStatus.COMPLETED
             handle.t_completed = self.now
             self._emit("REQUEST_DONE", request=record.request_id)
+            runtime.open_requests.pop(record.request_id, None)
         runtime.demux.mark_finished(record.request_id)
         runtime.policer.release(record.request_id)
         active_ids = self._active_request_ids(runtime)
@@ -325,19 +334,18 @@ class QNPNode(Entity, Component, EndNodeRules, IntermediateRules):
 
     def _active_request_ids(self, runtime: CircuitRuntime) -> tuple:
         """Active requests in arrival order (the distributed-FIFO order the
-        demultiplexer serves; ``runtime.requests`` preserves insertion)."""
-        return tuple(record.request_id for record in runtime.requests.values()
-                     if record.handle is not None
-                     and record.handle.status == RequestStatus.ACTIVE)
+        demultiplexer serves; ``runtime.open_requests`` preserves it)."""
+        return tuple(record.request_id
+                     for record in runtime.open_requests.values()
+                     if record.handle.status == RequestStatus.ACTIVE)
 
     def _aggregate_rate(self, runtime: CircuitRuntime) -> tuple[float, bool]:
         """Total EER needed by the active requests + rate-based-only flag."""
         total = 0.0
         rate_based_only = True
         found = False
-        for record in runtime.requests.values():
-            if record.handle is None \
-                    or record.handle.status != RequestStatus.ACTIVE:
+        for record in runtime.open_requests.values():
+            if record.handle.status != RequestStatus.ACTIVE:
                 continue
             found = True
             if record.user_request is not None:

@@ -2,8 +2,8 @@
 
 The persistence layer (:mod:`repro.persist.checkpoint`) turns a running
 :class:`~repro.traffic.workload.TrafficEngine` — scheduler event heap,
-per-link EGP RNG block buffers and in-flight chains, the Bell-pair
-weight store, QNP/circuit/policer/arbiter state, traffic sessions and
+per-link EGP RNG block buffers and in-flight chains, live Bell pairs,
+QNP/circuit/policer/arbiter state, traffic sessions and
 the metrics registry — into one versioned, atomically written file, and
 back.  See :func:`save_checkpoint` / :func:`load_checkpoint` and the
 "Checkpointing & long-horizon soak" section of DESIGN.md.

@@ -9,8 +9,9 @@ state representation:
 * :class:`DensityMatrixBackend` (``"dm"``) — the exact engine of
   :mod:`repro.quantum.states`: joint density matrices, O(4^n) tensor
   contractions, faithful for arbitrary states and operations.
-* :class:`BellDiagonalBackend` (``"bell"``) — pairs as 4-vectors of Bell
-  weights (:mod:`repro.quantum.bellstate`): O(1) per operation, exact on the
+* :class:`BellDiagonalBackend` (``"bell"``) — pairs as four Bell weights
+  held as plain floats (:mod:`repro.quantum.bellstate`): O(1) scalar
+  arithmetic per operation, exact on the
   QNP hot path (Bell-diagonal states under dephasing, depolarizing,
   entanglement swaps and Pauli-basis measurements), a twirled approximation
   for amplitude damping and for the heralded |11⟩ coherences, and automatic
@@ -69,7 +70,7 @@ class _DmPairMaker:
 
 
 class _BellPairMaker:
-    """Pair maker with the two heralded weight vectors prebound."""
+    """Pair maker with the two heralded weight tuples prebound."""
 
     __slots__ = ("weights",)
 
@@ -79,7 +80,7 @@ class _BellPairMaker:
     def __call__(self, bell_index, name_a="", name_b=""):
         qubit_a = Qubit(name_a)
         qubit_b = Qubit(name_b)
-        BellPairState.from_trusted_weights(self.weights[bell_index],
+        BellPairState.from_trusted_weights(*self.weights[bell_index],
                                            [qubit_a, qubit_b])
         return qubit_a, qubit_b
 
@@ -164,15 +165,16 @@ class BellDiagonalBackend(Backend):
         qubit_b = Qubit(name_b)
         # produced_weights is memoized and normalised — skip re-validation.
         BellPairState.from_trusted_weights(
-            model.produced_weights(alpha, bell_index), [qubit_a, qubit_b])
+            *model.produced_weights(alpha, bell_index).tolist(),
+            [qubit_a, qubit_b])
         return qubit_a, qubit_b
 
     def create_pair_from_weights(self, weights, name_a="", name_b=""):
         return create_bell_diagonal_pair(weights, name_a, name_b)
 
     def link_pair_factory(self, model, alpha):
-        """Prebind the two heralded weight vectors (Ψ±) for this α."""
-        weights = {index: model.produced_weights(alpha, index)
+        """Prebind the two heralded weight tuples (Ψ±) for this α."""
+        weights = {index: tuple(model.produced_weights(alpha, index).tolist())
                    for index in (BellIndex.PSI_PLUS, BellIndex.PSI_MINUS)}
         return _BellPairMaker(weights)
 

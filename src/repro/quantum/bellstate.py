@@ -1,6 +1,6 @@
 """Bell-diagonal two-qubit states — the fast state formalism.
 
-A :class:`BellPairState` represents an entangled pair as a 4-vector of
+A :class:`BellPairState` represents an entangled pair as four
 weights over the Bell basis of :mod:`repro.quantum.bell` instead of a 4×4
 density matrix.  Every operation the protocol stack performs on link pairs
 — memory dephasing, Pauli frame corrections, depolarizing gate noise,
@@ -10,13 +10,11 @@ O(4^n) tensor contractions.  The closed forms are the ones of
 :mod:`repro.quantum.analytic`, which the property tests pin against the
 exact engine.
 
-Since the vectorised-core revision the weights do not live on the state
-object: every live pair is a **row of the shared structure-of-arrays store**
-(:data:`repro.quantum.weightstore.STORE`), and ``BellPairState`` is a thin
-row handle.  The ``weights`` attribute is a property returning a view of the
-row, so the public surface (backends, QMM, apps, tests) is unchanged, while
-batch callers can evolve many pairs with one row-sliced numpy call through
-the store's API.
+The four weights are plain Python floats in ``__slots__``, so each channel
+is a handful of scalar multiply-adds (a numpy call on four numbers costs
+more in dispatch than the arithmetic).  The test suite pins every channel
+to its numpy array form within 1e-15.  The ``weights`` property builds a
+numpy copy for callers that want a vector.
 
 Exactness:
 
@@ -49,13 +47,15 @@ from .bell import bell_diagonal_dm
 from .channels import decoherence_probabilities
 from .qubit import Qubit
 from .states import QState
-from .weightstore import STORE, XOR_IDX
 
 #: Basis labels the measurement fast path understands.
 _PAULI_BASES = ("Z", "X", "Y")
 
-#: Backwards-compatible alias (the table moved to the weight store).
-_XOR_IDX = XOR_IDX
+#: The maximally mixed single-qubit state every Bell-diagonal marginal
+#: equals; shared read-only by every partner a :meth:`BellPairState.remove`
+#: leaves behind (no ``QState`` operation writes its matrix in place).
+_MAXIMALLY_MIXED = np.eye(2, dtype=complex) / 2.0
+_MAXIMALLY_MIXED.setflags(write=False)
 
 
 class BellPairState:
@@ -63,84 +63,63 @@ class BellPairState:
 
     Mirrors the subset of the :class:`QState` interface the protocol stack
     uses on link pairs; anything else triggers :meth:`promote`.  The weights
-    themselves live in a row of :data:`repro.quantum.weightstore.STORE`.
+    are the four floats ``_w0`` … ``_w3`` (fidelities to B0 … B3).
     """
 
-    __slots__ = ("_row", "qubits")
+    __slots__ = ("_w0", "_w1", "_w2", "_w3", "qubits")
 
     def __init__(self, weights: Sequence[float], qubits: Sequence[Qubit]):
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (4,):
+        try:
+            values = tuple(map(float, weights))
+        except TypeError:  # not a flat sequence of numbers
+            raise ValueError("need four Bell weights") from None
+        if len(values) != 4:
             raise ValueError("need four Bell weights")
-        if np.any(weights < -1e-9) or abs(weights.sum() - 1.0) > 1e-6:
+        w0, w1, w2, w3 = values
+        if (w0 < -1e-9 or w1 < -1e-9 or w2 < -1e-9 or w3 < -1e-9
+                or abs(w0 + w1 + w2 + w3 - 1.0) > 1e-6):
             raise ValueError("weights must be a probability vector")
         if len(qubits) != 2:
             raise ValueError("a Bell pair has exactly two qubits")
-        weights = np.clip(weights, 0.0, None)
-        self._row = STORE.alloc(weights / weights.sum())
+        for qubit in qubits:
+            if qubit.state is not None:
+                raise ValueError(f"{qubit.name} already belongs to another state")
+        w0 = w0 if w0 > 0.0 else 0.0
+        w1 = w1 if w1 > 0.0 else 0.0
+        w2 = w2 if w2 > 0.0 else 0.0
+        w3 = w3 if w3 > 0.0 else 0.0
+        total = w0 + w1 + w2 + w3
+        self._w0 = w0 / total
+        self._w1 = w1 / total
+        self._w2 = w2 / total
+        self._w3 = w3 / total
         self.qubits = list(qubits)
         for qubit in self.qubits:
-            if qubit.state is not None and qubit.state is not self:
-                self._release_row()
-                raise ValueError(f"{qubit.name} already belongs to another state")
             qubit.state = self
 
     @classmethod
-    def from_trusted_weights(cls, weights: np.ndarray,
+    def from_trusted_weights(cls, w0: float, w1: float, w2: float, w3: float,
                              qubits: Sequence[Qubit]) -> "BellPairState":
         """Bind fresh qubits to pre-validated weights without re-checking.
 
         The hot-path constructor: link-pair materialisation and swap output
-        states pass weights that are normalised by construction, so the
-        validation arithmetic of ``__init__`` would be pure overhead.
+        states pass float weights that are normalised by construction, so
+        the validation arithmetic of ``__init__`` would be pure overhead.
         """
         state = object.__new__(cls)
-        state._row = STORE.alloc(weights)
+        state._w0 = w0
+        state._w1 = w1
+        state._w2 = w2
+        state._w3 = w3
         state.qubits = list(qubits)
         for qubit in state.qubits:
             qubit.state = state
         return state
 
-    # ------------------------------------------------------------------
-    # Store plumbing
-    # ------------------------------------------------------------------
-
     @property
     def weights(self) -> np.ndarray:
-        """Writable length-4 view of this pair's store row."""
-        return STORE._w[self._row]
-
-    @weights.setter
-    def weights(self, value) -> None:
-        STORE._w[self._row] = value
-
-    def _release_row(self) -> None:
-        """Return the store row (terminal operations and leak recovery)."""
-        row = self._row
-        if row >= 0:
-            self._row = -1
-            STORE.release(row)
-
-    def __del__(self):
-        # Normal consumption paths (measure, remove, promote, swap) release
-        # the row explicitly; this catches states dropped without one so the
-        # store cannot leak rows across long campaigns.
-        try:
-            self._release_row()
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
-
-    def __getstate__(self):
-        # Row indices are process-local: a checkpoint carries the weights
-        # themselves, and restore re-allocates a fresh row in whatever store
-        # the unpickling process owns.
-        weights = (np.array(STORE._w[self._row]) if self._row >= 0 else None)
-        return (weights, self.qubits)
-
-    def __setstate__(self, state):
-        weights, qubits = state
-        self._row = STORE.alloc(weights) if weights is not None else -1
-        self.qubits = qubits
+        """The four Bell weights as a new numpy array (a copy)."""
+        return np.array((self._w0, self._w1, self._w2, self._w3))
 
     # ------------------------------------------------------------------
     # Introspection (QState-compatible surface)
@@ -157,35 +136,41 @@ class BellPairState:
         return self.qubits[1 - self.index_of(qubit)]
 
     def trace(self) -> float:
-        return float(self.weights.sum())
+        return self._w0 + self._w1 + self._w2 + self._w3
 
     def is_valid(self, tol: float = 1e-7) -> bool:
-        return bool(np.all(self.weights >= -tol)
-                    and abs(self.weights.sum() - 1.0) <= tol)
+        return (min(self._w0, self._w1, self._w2, self._w3) >= -tol
+                and abs(self.trace() - 1.0) <= tol)
 
     def fidelity_to(self, bell_index: int) -> float:
         """Fidelity to Bell state ``bell_index`` — just a weight lookup."""
-        return float(STORE._w[self._row, int(bell_index) & 0b11])
+        return (self._w0, self._w1, self._w2, self._w3)[int(bell_index) & 0b11]
 
     # ------------------------------------------------------------------
-    # Closed-family evolution (all O(1), in place on the store row)
+    # Closed-family evolution (all O(1), in place on the four floats)
     # ------------------------------------------------------------------
 
     def apply_pauli(self, frame_index: int, qubit: Qubit) -> None:
         """Pauli ``X^b Z^a`` on one qubit: XOR-permutes the weights."""
         frame_index = int(frame_index) & 0b11
         if frame_index:
-            buf, row = STORE._w, self._row
-            buf[row] = buf[row][XOR_IDX[frame_index]]
+            w = (self._w0, self._w1, self._w2, self._w3)
+            self._w0 = w[frame_index]
+            self._w1 = w[1 ^ frame_index]
+            self._w2 = w[2 ^ frame_index]
+            self._w3 = w[3 ^ frame_index]
 
     def apply_dephasing(self, p: float, qubit: Qubit) -> None:
         """Phase-flip channel on one qubit: mixes each state with its
         phase-flipped partner (B0 ↔ B2, B1 ↔ B3)."""
         if p <= 0:
             return
-        buf, row = STORE._w, self._row
-        w = buf[row]
-        buf[row] = (1.0 - p) * w + p * w[[2, 3, 0, 1]]
+        keep = 1.0 - p
+        w0, w1, w2, w3 = self._w0, self._w1, self._w2, self._w3
+        self._w0 = keep * w0 + p * w2
+        self._w1 = keep * w1 + p * w3
+        self._w2 = keep * w2 + p * w0
+        self._w3 = keep * w3 + p * w1
 
     def apply_depolarizing(self, p: float, qubit: Qubit) -> None:
         """Single-qubit depolarizing channel on one half of the pair."""
@@ -193,14 +178,19 @@ class BellPairState:
             return
         # Each non-identity Pauli (probability p/3) XOR-shifts the weights;
         # summing the three shifts of w[k] gives 1 − w[k].
-        buf, row = STORE._w, self._row
-        buf[row] = (1.0 - 4.0 * p / 3.0) * buf[row] + p / 3.0
+        self._contract(1.0 - 4.0 * p / 3.0, p / 3.0)
 
     def apply_two_qubit_depolarizing(self, p: float) -> None:
         """Two-qubit depolarizing noise across the pair (gate error model)."""
         if p > 0:
-            buf, row = STORE._w, self._row
-            buf[row] = _two_qubit_depolarized(buf[row], p)
+            self._contract(1.0 - 16.0 * p / 15.0, (16.0 * p / 15.0) / 4.0)
+
+    def _contract(self, scale: float, floor: float) -> None:
+        """``w ← scale·w + floor``: a depolarizing pull towards uniform."""
+        self._w0 = scale * self._w0 + floor
+        self._w1 = scale * self._w1 + floor
+        self._w2 = scale * self._w2 + floor
+        self._w3 = scale * self._w3 + floor
 
     def apply_decoherence(self, elapsed: float, t1: float, t2: float,
                           qubit: Qubit) -> None:
@@ -212,17 +202,16 @@ class BellPairState:
         if elapsed <= 0:
             return
         gamma, dephase_prob = decoherence_probabilities(elapsed, t1, t2)
-        buf, row = STORE._w, self._row
         if gamma > 0:
             root = math.sqrt(1.0 - gamma)
             same = (2.0 - gamma) / 4.0 + root / 2.0
             phase_partner = (2.0 - gamma) / 4.0 - root / 2.0
             parity_partner = gamma / 4.0
-            w = buf[row]
-            buf[row] = (same * w
-                        + phase_partner * w[[2, 3, 0, 1]]
-                        + parity_partner * (w[[1, 0, 3, 2]]
-                                            + w[[3, 2, 1, 0]]))
+            w0, w1, w2, w3 = self._w0, self._w1, self._w2, self._w3
+            self._w0 = same * w0 + phase_partner * w2 + parity_partner * (w1 + w3)
+            self._w1 = same * w1 + phase_partner * w3 + parity_partner * (w0 + w2)
+            self._w2 = same * w2 + phase_partner * w0 + parity_partner * (w3 + w1)
+            self._w3 = same * w3 + phase_partner * w1 + parity_partner * (w2 + w0)
         self.apply_dephasing(dephase_prob, qubit)
 
     # ------------------------------------------------------------------
@@ -232,13 +221,12 @@ class BellPairState:
     def error_probability(self, basis: str) -> float:
         """Probability the two halves disagree with the Φ+ correlation
         pattern in a Pauli basis (Z/X correlated, Y anti-correlated)."""
-        w = STORE._w[self._row]
         if basis == "Z":
-            return float(w[1] + w[3])
+            return self._w1 + self._w3
         if basis == "X":
-            return float(w[2] + w[3])
+            return self._w2 + self._w3
         if basis == "Y":
-            return float(w[1] + w[2])
+            return self._w1 + self._w2
         raise ValueError(f"unknown basis {basis!r}")
 
     def measure_in_basis(self, qubit: Qubit, basis: str, rng) -> int:
@@ -262,7 +250,6 @@ class BellPairState:
         qubit.state = None
         partner.state = None
         self.qubits = []
-        self._release_row()
         QState(partner_dm, [partner])
         return outcome
 
@@ -277,8 +264,7 @@ class BellPairState:
         qubit.state = None
         partner.state = None
         self.qubits = []
-        self._release_row()
-        QState(np.eye(2, dtype=complex) / 2.0, [partner])
+        QState.from_trusted_dm(_MAXIMALLY_MIXED, [partner])
 
     def promote(self) -> QState:
         """Rebind both qubits to an exact density-matrix state.
@@ -292,7 +278,6 @@ class BellPairState:
         for qubit in qubits:
             qubit.state = None
         self.qubits = []
-        self._release_row()
         return QState(dm, qubits)
 
     def apply_unitary(self, unitary: np.ndarray, targets: Sequence[Qubit]) -> None:
@@ -329,12 +314,6 @@ def exact_state(qubit: Qubit) -> QState:
     return state
 
 
-def _two_qubit_depolarized(weights: np.ndarray, p: float) -> np.ndarray:
-    """Two-qubit depolarizing closed form on Bell weights (shared by the
-    in-place channel and the swap fast path)."""
-    return (1.0 - 16.0 * p / 15.0) * weights + (16.0 * p / 15.0) / 4.0
-
-
 def create_bell_diagonal_pair(weights: Sequence[float], name_a: str = "",
                               name_b: str = "") -> tuple[Qubit, Qubit]:
     """Create two fresh qubits sharing a Bell-diagonal pair state."""
@@ -353,9 +332,7 @@ def swap_measure(qubit_a: Qubit, qubit_b: Qubit, rng,
     :class:`BellPairState` pairs.  Both are consumed; the two remote halves
     are rebound to a fresh :class:`BellPairState` holding the XOR-convolved
     weights conditioned on the (uniformly sampled) true outcome — exactly
-    the law the exact engine follows for Bell-diagonal inputs.  The
-    convolution itself is the weight store's :meth:`~repro.quantum.
-    weightstore.BellWeightStore.swap_rows` row operation.
+    the law the exact engine follows for Bell-diagonal inputs.
 
     Returns the true two-bit outcome; readout mislabeling is a classical
     layer applied by the caller (a mislabeled outcome then makes tracking
@@ -369,21 +346,29 @@ def swap_measure(qubit_a: Qubit, qubit_b: Qubit, rng,
         raise ValueError("swap_measure needs two distinct pairs")
     remote_a = state_a.partner_of(qubit_a)
     remote_b = state_b.partner_of(qubit_b)
-    # XOR-convolution (Klein four-group) plus the measurement's gate-noise
-    # closed forms — see BellWeightStore.swap_rows for the derivation notes.
-    convolved = STORE.swap_rows(state_a._row, state_b._row,
-                                two_qubit_depolar, single_qubit_depolar)
+    # XOR-convolution over the Klein four-group: c[k] = Σ_i a[i]·b[k^i].
+    a0, a1, a2, a3 = state_a._w0, state_a._w1, state_a._w2, state_a._w3
+    b0, b1, b2, b3 = state_b._w0, state_b._w1, state_b._w2, state_b._w3
+    convolved = (b0 * a0 + b1 * a1 + b2 * a2 + b3 * a3,
+                 b1 * a0 + b0 * a1 + b3 * a2 + b2 * a3,
+                 b2 * a0 + b3 * a1 + b0 * a2 + b1 * a3,
+                 b3 * a0 + b2 * a1 + b1 * a2 + b0 * a3)
     # The measured marginal is maximally mixed: all four outcomes are
     # equally likely regardless of the input weights.
     outcome = int(rng.random() * 4.0) & 0b11
-    weights = convolved[XOR_IDX[outcome]]
     for qubit in (qubit_a, qubit_b, remote_a, remote_b):
         qubit.state = None
     state_a.qubits = []
     state_b.qubits = []
-    state_a._release_row()
-    state_b._release_row()
-    BellPairState.from_trusted_weights(weights, [remote_a, remote_b])
+    swapped = BellPairState.from_trusted_weights(
+        convolved[outcome], convolved[1 ^ outcome], convolved[2 ^ outcome],
+        convolved[3 ^ outcome], [remote_a, remote_b])
+    # The measurement's gate noise, carried to the output pair (both terms
+    # commute with the outcome permutation): two-qubit depolarizing is a
+    # uniform mix, and single-qubit depolarizing on the rotated control
+    # flips the phase bit (X or Y error) with probability 2p/3.
+    swapped.apply_two_qubit_depolarizing(two_qubit_depolar)
+    swapped.apply_dephasing(2.0 * single_qubit_depolar / 3.0, remote_a)
     return outcome
 
 

@@ -40,6 +40,7 @@ from repro.quantum.operations import (
 )
 from repro.quantum.states import QState, _conjugate
 from repro.quantum.gates import rx
+from repro.quantum.qubit import Qubit
 
 WEIGHTS = (0.8, 0.1, 0.06, 0.04)
 
@@ -165,6 +166,53 @@ def test_remove_leaves_partner_maximally_mixed():
     qubit_a.state.remove(qubit_a)
     assert qubit_a.state is None
     assert np.allclose(qubit_b.state.dm, np.eye(2) / 2.0)
+    # Every partner shares one read-only I/2; evolving a partner must not
+    # touch it.
+    qubit_b.state.apply_decoherence(1e9, 1e9, 1e9, qubit_b)
+    assert not np.allclose(qubit_b.state.dm, np.eye(2) / 2.0)
+    first, second = get_backend("bell").create_pair_from_weights(WEIGHTS)
+    first.state.remove(first)
+    assert np.allclose(second.state.dm, np.eye(2) / 2.0)
+
+
+@pytest.mark.parametrize("weights,message", [
+    ((0.5, 0.5, 0.0), "need four"),
+    ((0.25,) * 5, "need four"),
+    (np.full((4, 4), 0.0625), "need four"),
+    (("a", 0.0, 0.0, 0.0), "could not convert"),
+    ((1.0 + 2e-9, -2e-9, 0.0, 0.0), "probability vector"),
+    ((0.7, 0.1, 0.1, 0.1 + 2e-6), "probability vector"),
+])
+def test_bell_pair_rejects_invalid_weights(weights, message):
+    with pytest.raises(ValueError, match=message):
+        BellPairState(weights, [Qubit("a"), Qubit("b")])
+
+
+def test_bell_pair_clips_and_renormalises_within_tolerance():
+    state = BellPairState((1.0 + 5e-10, -5e-10, 5e-7, 0.0),
+                          [Qubit("a"), Qubit("b")])
+    assert state.fidelity_to(1) == 0.0
+    assert state.trace() == pytest.approx(1.0, abs=1e-15)
+    assert state.fidelity_to(2) == pytest.approx(5e-7, rel=1e-6)
+
+
+def test_bell_pair_rejects_bad_qubits():
+    with pytest.raises(ValueError, match="exactly two"):
+        BellPairState(WEIGHTS, [Qubit("a")])
+    owned, _ = get_backend("bell").create_pair_from_weights(WEIGHTS)
+    fresh = Qubit("b")
+    with pytest.raises(ValueError, match="already belongs"):
+        BellPairState(WEIGHTS, [fresh, owned])
+    assert fresh.state is None  # a refused pair binds neither qubit
+
+
+def test_weights_is_a_copy_not_a_view():
+    qubit_a, _ = get_backend("bell").create_pair_from_weights(WEIGHTS)
+    state = qubit_a.state
+    weights = state.weights
+    weights[:] = 0.0
+    np.testing.assert_allclose(state.weights, np.asarray(WEIGHTS) / sum(WEIGHTS))
+    assert state.trace() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_bell_pauli_frame_permutes_weights():

@@ -11,8 +11,8 @@ Four pillars:
   from the last durable checkpoint, and check no confirmed pair was
   duplicated or lost and the snapshot counter stream stayed monotone;
 * **round-trip properties** — the stateful primitives a checkpoint
-  carries (per-link numpy RNG block buffers, the scheduler heap, the
-  Bell weight store) continue identically after a pickle round trip;
+  carries (per-link numpy RNG block buffers, the scheduler heap, live
+  Bell pairs) continue identically after a pickle round trip;
 * **envelope validation** — foreign, corrupt and version-mismatched
   files are rejected before any simulation state is deserialised.
 """
@@ -25,7 +25,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.netsim import Simulator
@@ -319,27 +318,21 @@ class TestRoundTripProperties:
         clone.post_at(clone.now + 1.0, clone_recorder, 99)
         assert clone.pool_hits == sim.pool_hits
 
-    def test_weightstore_round_trip(self):
-        from repro.quantum.weightstore import BellWeightStore
+    def test_live_bell_pair_round_trip(self):
+        from repro.quantum.bellstate import create_bell_diagonal_pair
 
-        store = BellWeightStore(capacity=4)
-        weights = [[0.85 + 0.01 * i, 0.05, 0.05, 0.05 - 0.01 * i]
-                   for i in range(6)]  # overflows capacity: forces a grow
-        rows = [store.alloc(w) for w in weights]
-        store.release(rows[1])
-        store.release(rows[4])
-        clone = pickle.loads(pickle.dumps(store))
-        for row in (rows[0], rows[2], rows[3], rows[5]):
-            np.testing.assert_array_equal(clone.row(row), store.row(row))
-        # Free-list order survives: both sides hand out the same rows.
-        fresh = [0.7, 0.1, 0.1, 0.1]
-        assert clone.alloc(fresh) == store.alloc(fresh)
-        assert clone.alloc(fresh) == store.alloc(fresh)
-        # And the state_dict/load_state pathway agrees with pickling.
-        rebuilt = BellWeightStore(capacity=4)
-        rebuilt.load_state(store.state_dict())
-        for row in (rows[0], rows[2], rows[3], rows[5]):
-            np.testing.assert_array_equal(rebuilt.row(row), store.row(row))
+        qubit_a, qubit_b = create_bell_diagonal_pair(
+            [0.85, 0.05, 0.06, 0.04], "a", "b")
+        qubit_a.state.apply_decoherence(2e6, 3.6e12, 6e10, qubit_a)
+        twin_a, twin_b = pickle.loads(pickle.dumps((qubit_a, qubit_b)))
+        state, twin = qubit_a.state, twin_a.state
+        assert twin is twin_b.state and twin.qubits == [twin_a, twin_b]
+        assert twin.weights.tolist() == state.weights.tolist()
+        # The restored pair evolves bit-identically to the original.
+        for pair_state, qubit in ((state, qubit_a), (twin, twin_a)):
+            pair_state.apply_dephasing(0.03, qubit)
+            pair_state.apply_two_qubit_depolarizing(0.01)
+        assert twin.weights.tolist() == state.weights.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -350,6 +343,15 @@ def _tiny_engine():
     _reset_counters()
     net = build_topology("ring", 4, seed=5, formalism="bell")
     return TrafficEngine(net, circuits=2, load=0.5, seed=5)
+
+
+class _ExplodesOnUnpickle:
+    def __reduce__(self):
+        return (_explode, ())
+
+
+def _explode():
+    raise AssertionError("engine blob was unpickled")
 
 
 class TestEnvelope:
@@ -368,6 +370,18 @@ class TestEnvelope:
         envelope["version"] = CHECKPOINT_VERSION + 1
         path.write_bytes(pickle.dumps(envelope))
         with pytest.raises(CheckpointError, match="version mismatch"):
+            load_checkpoint(path)
+
+    def test_version_one_refused_before_unpickling_engine(self, tmp_path):
+        # A version-1 file carries the old Bell-pair layout; loading must
+        # refuse it from the envelope alone, never touching the blob.
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(pickle.dumps({
+            "magic": "repro-checkpoint", "version": 1,
+            "counters": {"request_ids": 0, "circuit_ids": 0, "qubit_ids": 0},
+            "store_peak_live": 0,
+            "engine_blob": pickle.dumps(_ExplodesOnUnpickle())}))
+        with pytest.raises(CheckpointError, match="file has 1"):
             load_checkpoint(path)
 
     def test_foreign_pickle_rejected(self, tmp_path):

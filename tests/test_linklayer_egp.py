@@ -1,5 +1,6 @@
 """Integration tests for the link layer EGP over simulated hardware."""
 
+import numpy as np
 import pytest
 
 from repro.hardware import HeraldedConnection, NEAR_TERM, SIMULATION, SingleClickModel
@@ -222,6 +223,21 @@ def _run_telemetry(batched, seed=31, until=5 * S, script=None):
     sim.run(until=until)
     return (trace, link.attempts_made, link.pairs_generated,
             link.busy_time, sim.now, sim.events_processed > 0)
+
+
+class TestRngBlockEquivalence:
+    """The batched EGP refills a 256-draw uniform block; block draws must
+    equal the same generator's sequential draws or batching would change
+    the trajectory."""
+
+    def test_block_equals_sequential(self):
+        block = np.random.default_rng(1234).random(64)
+        sequential = [np.random.default_rng(1234).random()
+                      for _ in range(1)]  # first draw sanity
+        assert block[0] == sequential[0]
+        rng = np.random.default_rng(1234)
+        one_by_one = np.array([rng.random() for _ in range(64)])
+        np.testing.assert_array_equal(block, one_by_one)
 
 
 class TestBatchedScalarEquivalence:

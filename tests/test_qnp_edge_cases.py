@@ -1,5 +1,7 @@
 """Edge-case and failure-path tests for the QNP."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -215,3 +217,70 @@ class TestMessageDataclasses:
                             downstream_max_lpr=None, circuit_max_eer=1.0,
                             cutoff=None)
         assert tail.role == CircuitRole.TAIL
+
+
+class TestHeadEndRequestIndex:
+    """The head-end's open-request index answers exactly what a scan of
+    every request the circuit has seen would, and stays bounded."""
+
+    @staticmethod
+    def _full_scan(runtime):
+        active = [record for record in runtime.requests.values()
+                  if record.handle is not None
+                  and record.handle.status == RequestStatus.ACTIVE]
+        total = 0.0
+        rate_based_only = True
+        for record in active:
+            total += record.user_request.minimum_eer()
+            if not record.user_request.is_rate_based:
+                rate_based_only = False
+        return (tuple(record.request_id for record in active),
+                (total, rate_based_only and bool(active)))
+
+    def test_matches_full_scan_on_random_lifecycle(self):
+        net = build_chain_network(2, seed=17)
+        circuit_id = net.establish_circuit("node0", "node1", 0.8)
+        qnp = net.node("node0").qnp
+        runtime = qnp.circuit(circuit_id)
+        max_eer = runtime.entry.circuit_max_eer
+        rng = random.Random(3)
+        seen = set()
+        for _ in range(120):
+            action = rng.random()
+            if action < 0.4:
+                pairs = rng.randint(1, 3)
+                if rng.random() < 0.2:
+                    request = UserRequest(rate=max_eer * rng.uniform(0.05, 0.3))
+                else:
+                    share = rng.uniform(0.05, 0.35)
+                    request = UserRequest(
+                        num_pairs=pairs,
+                        deadline=pairs / (share * max_eer) * S)
+                net.submit(circuit_id, request)
+                seen.add(request.request_id)
+            elif action < 0.6 and seen:
+                qnp.cancel(circuit_id, rng.choice(sorted(seen)))
+            else:
+                net.run(until_s=net.sim.now / S + rng.uniform(0.0, 0.3))
+            active_ids, rate = self._full_scan(runtime)
+            assert qnp._active_request_ids(runtime) == active_ids
+            assert qnp._aggregate_rate(runtime) == rate
+            assert list(runtime.open_requests) == [
+                request_id for request_id, record in runtime.requests.items()
+                if record.handle.status in (RequestStatus.QUEUED,
+                                            RequestStatus.ACTIVE)]
+        statuses = {record.handle.status
+                    for record in runtime.requests.values()}
+        assert {RequestStatus.COMPLETED, RequestStatus.ACTIVE,
+                RequestStatus.QUEUED} <= statuses
+
+    def test_index_bounded_after_many_completions(self):
+        net = build_chain_network(2, seed=18)
+        circuit_id = net.establish_circuit("node0", "node1", 0.8)
+        runtime = net.node("node0").qnp.circuit(circuit_id)
+        handles = [net.submit(circuit_id, UserRequest(num_pairs=1))
+                   for _ in range(40)]
+        net.run_until_complete(handles, timeout_s=600)
+        assert all(h.status == RequestStatus.COMPLETED for h in handles)
+        assert len(runtime.requests) == 40  # late TRACKs still resolve
+        assert runtime.open_requests == {}

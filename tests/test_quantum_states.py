@@ -112,6 +112,9 @@ def test_remove_traces_out():
     # Remaining qubit is maximally mixed.
     assert np.allclose(state.dm, np.eye(2) / 2, atol=1e-12)
     assert qb.index == 0
+    state.remove(qb)  # the last qubit: nothing left to trace over
+    assert state.qubits == [] and qb.state is None
+    assert state.dm.tolist() == [[1.0]]
 
 
 def test_reduced_dm_of_pair_inside_larger_state():

@@ -1,9 +1,11 @@
-"""Property tests for the SoA Bell-weight store.
+"""Pins the float Bell-pair state to the numpy weight-store closed forms.
 
-Every batch row operation must match the per-pair ``BellPairState``
-channel it mirrors within 1e-9 — the store and the state object are two
-views of the same closed forms, and these pins keep them from drifting.
-Also pins the numpy-RNG block-draw equivalence the batched EGP relies on.
+``BellPairState`` keeps its four Bell weights as plain floats.  Before
+that, every pair was a row of a shared ``(N, 4)`` numpy matrix (the
+structure-of-arrays weight store) and each channel was a row-sliced
+array expression.  Those array expressions are kept here, and only here,
+as the oracle: every channel, every swap outcome with and without gate
+noise, and every read-out of the float state must match them to 1e-15.
 """
 
 import math
@@ -15,9 +17,6 @@ from repro.quantum.bellstate import (
     BellPairState, create_bell_diagonal_pair, swap_measure,
 )
 from repro.quantum.channels import decoherence_probabilities
-from repro.quantum.weightstore import (
-    STORE, XOR_IDX, BellWeightStore, decoherence_probabilities_array,
-)
 
 #: A spread of Bell-diagonal weight vectors (normalised below).
 WEIGHT_SETS = [
@@ -28,6 +27,102 @@ WEIGHT_SETS = [
     (0.4, 0.3, 0.2, 0.1),
 ]
 
+#: Agreement bound between the float state and the numpy oracle.
+ATOL = 1e-15
+
+# ----------------------------------------------------------------------
+# The oracle: the weight store's row-sliced numpy closed forms
+# ----------------------------------------------------------------------
+
+#: ``XOR_IDX[k, i] = k ^ i`` — Klein four-group index table.
+XOR_IDX = np.array([[k ^ i for i in range(4)] for k in range(4)])
+_PHASE_COLS = (2, 3, 0, 1)
+_BIT_COLS = (1, 0, 3, 2)
+_BOTH_COLS = (3, 2, 1, 0)
+
+
+def _per_row(value, count):
+    """Broadcast a scalar or per-row parameter to column shape ``(k, 1)``."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 0:
+        return arr.reshape(1, 1)
+    if arr.shape != (count,):
+        raise ValueError(f"parameter shape {arr.shape} does not match "
+                         f"{count} rows")
+    return arr.reshape(-1, 1)
+
+
+def decoherence_probabilities_array(elapsed, t1, t2):
+    """Vectorised ``(gamma, dephase_prob)`` of the T1/T2 memory channel."""
+    elapsed = np.asarray(elapsed, dtype=float)
+    t1 = np.asarray(t1, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
+    if np.any(elapsed < 0):
+        raise ValueError("elapsed time must be non-negative")
+    with np.errstate(divide="ignore"):
+        inv_t1 = np.where(np.isinf(t1), 0.0, 1.0 / t1)
+        inv_t2 = np.where(np.isinf(t2), 0.0, 1.0 / t2)
+    gamma = np.where(np.isinf(t1), 0.0, -np.expm1(-elapsed * inv_t1))
+    t_phi_inverse = np.maximum(inv_t2 - inv_t1 / 2.0, 0.0)
+    dephase = np.where(np.isinf(t2), 0.0,
+                       -np.expm1(-elapsed * t_phi_inverse) / 2.0)
+    return gamma, dephase
+
+
+def pauli_rows(w, frame_index):
+    return w[:, XOR_IDX[int(frame_index) & 0b11]]
+
+
+def dephase_rows(w, p):
+    p = _per_row(p, len(w))
+    return (1.0 - p) * w + p * w[:, _PHASE_COLS]
+
+
+def depolarize_rows(w, p):
+    p = _per_row(p, len(w))
+    return (1.0 - 4.0 * p / 3.0) * w + p / 3.0
+
+
+def two_qubit_depolarize_rows(w, p):
+    p = _per_row(p, len(w))
+    return (1.0 - 16.0 * p / 15.0) * w + (16.0 * p / 15.0) / 4.0
+
+
+def decohere_rows(w, elapsed, t1, t2):
+    count = len(w)
+    gamma, dephase = decoherence_probabilities_array(elapsed, t1, t2)
+    gamma = _per_row(np.broadcast_to(gamma, (count,)), count)
+    dephase = _per_row(np.broadcast_to(dephase, (count,)), count)
+    if np.any(gamma > 0):
+        root = np.sqrt(1.0 - gamma)
+        same = (2.0 - gamma) / 4.0 + root / 2.0
+        phase_partner = (2.0 - gamma) / 4.0 - root / 2.0
+        parity_partner = gamma / 4.0
+        w = (same * w
+             + phase_partner * w[:, _PHASE_COLS]
+             + parity_partner * (w[:, _BIT_COLS] + w[:, _BOTH_COLS]))
+    return (1.0 - dephase) * w + dephase * w[:, _PHASE_COLS]
+
+
+def error_probability_rows(w, basis):
+    columns = {"Z": (1, 3), "X": (2, 3), "Y": (1, 2)}[basis]
+    return w[:, columns[0]] + w[:, columns[1]]
+
+
+def swap_row(wa, wb, outcome, two_qubit_depolar, single_qubit_depolar):
+    convolved = wb[XOR_IDX] @ wa
+    if two_qubit_depolar > 0:
+        convolved = ((1.0 - 16.0 * two_qubit_depolar / 15.0) * convolved
+                     + (16.0 * two_qubit_depolar / 15.0) / 4.0)
+    if single_qubit_depolar > 0:
+        mix = 2.0 * single_qubit_depolar / 3.0
+        convolved = (1.0 - mix) * convolved + mix * convolved[XOR_IDX[2]]
+    return convolved[XOR_IDX[outcome]]
+
+
+# ----------------------------------------------------------------------
+# Float state vs oracle
+# ----------------------------------------------------------------------
 
 def _norm(weights):
     arr = np.asarray(weights, dtype=float)
@@ -35,92 +130,50 @@ def _norm(weights):
 
 
 def make_pairs():
-    """One live pair per WEIGHT_SETS entry; returns (states, rows)."""
+    """One live pair per WEIGHT_SETS entry; returns (states, weights)."""
     states = []
     for i, weights in enumerate(WEIGHT_SETS):
-        qubit_a, qubit_b = create_bell_diagonal_pair(
-            _norm(weights), f"a{i}", f"b{i}")
+        qubit_a, _ = create_bell_diagonal_pair(_norm(weights),
+                                               f"a{i}", f"b{i}")
         states.append(qubit_a.state)
-    return states, np.array([state._row for state in states])
-
-
-class TestRowLifecycle:
-    def test_alloc_copies_and_release_recycles_lifo(self):
-        store = BellWeightStore(capacity=4)
-        weights = _norm((0.7, 0.1, 0.1, 0.1))
-        row = store.alloc(weights)
-        assert np.allclose(store.row(row), weights)
-        assert store.live == 1
-        store.release(row)
-        assert store.live == 0
-        assert store.alloc(weights) == row  # LIFO: freed row reused first
-
-    def test_grow_preserves_live_rows(self):
-        store = BellWeightStore(capacity=2)
-        rows = [store.alloc(_norm(w)) for w in WEIGHT_SETS]
-        assert store.capacity >= len(WEIGHT_SETS)
-        for row, weights in zip(rows, WEIGHT_SETS):
-            assert np.allclose(store.row(row), _norm(weights))
-        assert store.peak_live == len(WEIGHT_SETS)
-
-    def test_state_lifecycle_releases_rows(self):
-        live_before = STORE.live
-        states, _ = make_pairs()
-        assert STORE.live == live_before + len(states)
-        for state in states:
-            state.remove(state.qubits[0])
-        assert STORE.live == live_before
-
-    def test_dropped_state_recovered_by_del(self):
-        live_before = STORE.live
-        qubit_a, _ = create_bell_diagonal_pair(_norm((1, 0, 0, 0)))
-        state = qubit_a.state
-        assert STORE.live == live_before + 1
-        qubit_a.state = None
-        state.qubits[1].state = None
-        del state, qubit_a
-        assert STORE.live == live_before
+    return states, np.array([state.weights for state in states])
 
 
 class TestBatchOpsMatchPerPair:
-    """Each *_rows op vs the per-pair BellPairState channel, within 1e-9."""
+    """Each float-state channel vs the oracle's row op, within 1e-15."""
 
-    def _compare(self, batch_op, per_pair_op):
-        states, rows = make_pairs()
-        reference = []
+    def _compare(self, oracle_op, per_pair_op):
+        states, weights = make_pairs()
         for state in states:
             per_pair_op(state)
-            reference.append(state.weights.copy())
-            state.remove(state.qubits[0])
-        states, rows = make_pairs()
-        batch_op(rows)
-        got = STORE.get_rows(rows)
-        np.testing.assert_allclose(got, np.array(reference), atol=1e-9)
-        for state in states:
-            state.remove(state.qubits[0])
+        got = np.array([state.weights for state in states])
+        np.testing.assert_allclose(got, oracle_op(weights), rtol=0,
+                                   atol=ATOL)
+        for state in states:  # no numpy scalars leak into the state
+            assert all(type(state.fidelity_to(k)) is float for k in range(4))
 
     @pytest.mark.parametrize("frame", [0, 1, 2, 3])
     def test_pauli_rows(self, frame):
         self._compare(
-            lambda rows: STORE.pauli_rows(rows, frame),
+            lambda w: pauli_rows(w, frame),
             lambda s: s.apply_pauli(frame, s.qubits[0]))
 
     @pytest.mark.parametrize("p", [0.0, 0.02, 0.37])
     def test_dephase_rows(self, p):
         self._compare(
-            lambda rows: STORE.dephase_rows(rows, p),
+            lambda w: dephase_rows(w, p),
             lambda s: s.apply_dephasing(p, s.qubits[0]))
 
     @pytest.mark.parametrize("p", [0.0, 0.01, 0.3])
     def test_depolarize_rows(self, p):
         self._compare(
-            lambda rows: STORE.depolarize_rows(rows, p),
+            lambda w: depolarize_rows(w, p),
             lambda s: s.apply_depolarizing(p, s.qubits[0]))
 
     @pytest.mark.parametrize("p", [0.0, 0.05, 0.4])
     def test_two_qubit_depolarize_rows(self, p):
         self._compare(
-            lambda rows: STORE.two_qubit_depolarize_rows(rows, p),
+            lambda w: two_qubit_depolarize_rows(w, p),
             lambda s: s.apply_two_qubit_depolarizing(p))
 
     @pytest.mark.parametrize("t1,t2", [
@@ -131,48 +184,36 @@ class TestBatchOpsMatchPerPair:
     def test_decohere_rows(self, t1, t2):
         elapsed = 5e6
         self._compare(
-            lambda rows: STORE.decohere_rows(rows, elapsed, t1, t2),
+            lambda w: decohere_rows(w, elapsed, t1, t2),
             lambda s: s.apply_decoherence(elapsed, t1, t2, s.qubits[0]))
 
     def test_decohere_rows_per_row_elapsed(self):
-        states, rows = make_pairs()
+        states, weights = make_pairs()
         elapsed = np.array([1e6 * (i + 1) for i in range(len(states))])
-        reference = []
         for state, dt in zip(states, elapsed):
             state.apply_decoherence(float(dt), 3.6e12, 6e10, state.qubits[0])
-            reference.append(state.weights.copy())
-            state.remove(state.qubits[0])
-        states, rows = make_pairs()
-        STORE.decohere_rows(rows, elapsed, 3.6e12, 6e10)
-        np.testing.assert_allclose(STORE.get_rows(rows),
-                                   np.array(reference), atol=1e-9)
-        for state in states:
-            state.remove(state.qubits[0])
+        got = np.array([state.weights for state in states])
+        np.testing.assert_allclose(
+            got, decohere_rows(weights, elapsed, 3.6e12, 6e10),
+            rtol=0, atol=ATOL)
 
     @pytest.mark.parametrize("basis", ["Z", "X", "Y"])
     def test_error_probability_rows(self, basis):
-        states, rows = make_pairs()
-        reference = [state.error_probability(basis) for state in states]
+        states, weights = make_pairs()
+        got = [state.error_probability(basis) for state in states]
         np.testing.assert_allclose(
-            STORE.error_probability_rows(rows, basis), reference, atol=1e-9)
-        for state in states:
-            state.remove(state.qubits[0])
+            got, error_probability_rows(weights, basis), rtol=0, atol=ATOL)
 
     @pytest.mark.parametrize("bell_index", [0, 1, 2, 3])
     def test_fidelity_rows(self, bell_index):
-        states, rows = make_pairs()
-        reference = [state.fidelity_to(bell_index) for state in states]
-        np.testing.assert_allclose(
-            STORE.fidelity_rows(rows, bell_index), reference, atol=1e-9)
-        for state in states:
-            state.remove(state.qubits[0])
+        states, weights = make_pairs()
+        got = [state.fidelity_to(bell_index) for state in states]
+        np.testing.assert_array_equal(got, weights[:, bell_index])
 
     def test_bad_parameter_shape_rejected(self):
-        states, rows = make_pairs()
+        _, weights = make_pairs()
         with pytest.raises(ValueError, match="shape"):
-            STORE.dephase_rows(rows, np.array([0.1, 0.2]))
-        for state in states:
-            state.remove(state.qubits[0])
+            dephase_rows(weights, np.array([0.1, 0.2]))
 
 
 class _FixedRng:
@@ -184,13 +225,25 @@ class _FixedRng:
 
 
 class TestSwapRows:
+    def _swap(self, wa, wb, outcome, p2, p1):
+        qa0, qa1 = create_bell_diagonal_pair(wa)
+        qb0, qb1 = create_bell_diagonal_pair(wb)
+        inputs = (qa0.state.weights, qb0.state.weights)
+        got_outcome = swap_measure(qa1, qb0, _FixedRng(outcome / 4.0),
+                                   two_qubit_depolar=p2,
+                                   single_qubit_depolar=p1)
+        assert got_outcome == outcome
+        new_state = qa0.state
+        assert isinstance(new_state, BellPairState)
+        assert new_state is qb1.state
+        assert qa1.state is None and qb0.state is None
+        return new_state, inputs
+
     @pytest.mark.parametrize("outcome", [0, 1, 2, 3])
     @pytest.mark.parametrize("p2,p1", [(0.0, 0.0), (0.02, 0.005)])
     def test_swap_measure_matches_manual_convolution(self, outcome, p2, p1):
         wa = _norm((0.9, 0.04, 0.04, 0.02))
         wb = _norm((0.8, 0.1, 0.05, 0.05))
-        qa0, qa1 = create_bell_diagonal_pair(wa)
-        qb0, qb1 = create_bell_diagonal_pair(wb)
         # Manual closed form: XOR-convolution + gate noise + outcome frame.
         convolved = np.array([
             sum(wa[j] * wb[k ^ j] for j in range(4)) for k in range(4)])
@@ -199,19 +252,27 @@ class TestSwapRows:
         convolved = (1 - mix) * convolved + mix * convolved[XOR_IDX[2]]
         expected = convolved[XOR_IDX[outcome]]
 
-        got_outcome = swap_measure(qa1, qb0, _FixedRng(outcome / 4.0),
-                                   two_qubit_depolar=p2,
-                                   single_qubit_depolar=p1)
-        assert got_outcome == outcome
-        new_state = qa0.state
-        assert isinstance(new_state, BellPairState)
-        assert new_state is qb1.state
+        new_state, _ = self._swap(wa, wb, outcome, p2, p1)
         np.testing.assert_allclose(new_state.weights, expected, atol=1e-9)
         assert new_state.trace() == pytest.approx(1.0, abs=1e-9)
-        new_state.remove(qa0)
+
+    @pytest.mark.parametrize("outcome", [0, 1, 2, 3])
+    @pytest.mark.parametrize("p2,p1", [(0.0, 0.0), (0.02, 0.0),
+                                       (0.0, 0.005), (0.02, 0.005)])
+    @pytest.mark.parametrize("pair", range(len(WEIGHT_SETS)))
+    def test_swap_measure_matches_numpy_oracle(self, pair, outcome, p2, p1):
+        new_state, (wa, wb) = self._swap(
+            _norm(WEIGHT_SETS[pair]),
+            _norm(WEIGHT_SETS[(pair + 2) % len(WEIGHT_SETS)]),
+            outcome, p2, p1)
+        np.testing.assert_allclose(
+            new_state.weights, swap_row(wa, wb, outcome, p2, p1),
+            rtol=0, atol=ATOL)
 
 
 class TestDecoherenceArray:
+    """The oracle's decay parameters are the float state's closed form."""
+
     def test_matches_scalar_closed_form(self):
         for elapsed in (0.0, 1e3, 5e6, 2e9):
             for t1, t2 in ((3.6e12, 6e10), (math.inf, 6e10),
@@ -226,18 +287,3 @@ class TestDecoherenceArray:
     def test_negative_elapsed_rejected(self):
         with pytest.raises(ValueError):
             decoherence_probabilities_array(-1.0, 1e9, 1e9)
-
-
-class TestRngBlockEquivalence:
-    """The batched EGP refills a 256-draw uniform block; block draws must
-    equal the same generator's sequential draws or batching would change
-    the trajectory."""
-
-    def test_block_equals_sequential(self):
-        block = np.random.default_rng(1234).random(64)
-        sequential = [np.random.default_rng(1234).random()
-                      for _ in range(1)]  # first draw sanity
-        assert block[0] == sequential[0]
-        rng = np.random.default_rng(1234)
-        one_by_one = np.array([rng.random() for _ in range(64)])
-        np.testing.assert_array_equal(block, one_by_one)
