@@ -158,8 +158,8 @@ def bench_traffic_soak(formalism: str):
 
     The sustained-throughput scenario behind ``traffic_pairs_per_s``:
     single-hop circuits run at the link EER (no swap losses), so the
-    simulated pair rate — and with it the number of live pairs, timeslot
-    chains and scheduler events per simulated second — is an order of
+    simulated pair rate — and with it the number of live pairs, generation
+    slices and scheduler events per simulated second — is an order of
     magnitude above ``traffic_round``.  The ``traffic_pairs_per_s`` CI
     floor (≥ 9360 for ``bell``, 10x the 936 pairs/s of the earlier 3x3
     traffic scenario) pins that capability.
@@ -280,6 +280,7 @@ def bench_link_delivery_round(formalism: str):
     state work is where the formalisms genuinely differ, so bell ≥ dm is
     a gated invariant (``compare_bench.py --check-speedups``).
     """
+    from repro.netsim.ports import subscribe
     from repro.network.builder import build_chain_network
     from repro.quantum.fidelity import pair_fidelity
 
@@ -300,8 +301,10 @@ def bench_link_delivery_round(formalism: str):
         if qubit_b.state is not None:
             qubit_b.state.remove(qubit_b)
 
-    link.register_handler("node0", consume)
-    link.register_handler("node1", lambda d: None)
+    for name, handler in (("node0", consume), ("node1", lambda d: None)):
+        port = link.delivery_port(name)
+        port.disconnect()  # detach the QNP the builder wired
+        subscribe(port, handler)
     link.set_request("micro", min_fidelity=0.8, lpr=200.0)
     net.sim.run(until=net.sim.now + 1e8)  # warm to steady state
     assert count[0] > 5

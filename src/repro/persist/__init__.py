@@ -2,7 +2,7 @@
 
 The persistence layer (:mod:`repro.persist.checkpoint`) turns a running
 :class:`~repro.traffic.workload.TrafficEngine` — scheduler event heap,
-per-link EGP RNG block buffers and in-flight chains, live Bell pairs,
+per-link EGP RNG block buffers, live Bell pairs,
 QNP/circuit/policer/arbiter state, traffic sessions and
 the metrics registry — into one versioned, atomically written file, and
 back.  See :func:`save_checkpoint` / :func:`load_checkpoint` and the

@@ -8,9 +8,9 @@ A checkpoint is a single pickle file with two layers:
   deserialised;
 * the **engine blob** — the pickled :class:`~repro.traffic.workload.
   TrafficEngine`, which transitively carries the whole simulation: the
-  network (scheduler heap, links with their numpy RNG block buffers and
-  in-flight EGP chains, QNP/circuit/policer/arbiter state), the traffic
-  sessions, the metrics registry and the snapshot emitter.
+  network (scheduler heap, links with their numpy RNG block buffers,
+  QNP/circuit/policer/arbiter state), the traffic sessions, the metrics
+  registry and the snapshot emitter.
 
 Writes are crash-safe: the payload is flushed and fsynced to a ``.tmp``
 sibling, then moved into place with :func:`os.replace` — a reader never
@@ -32,8 +32,10 @@ from typing import Optional
 #: Format version; bump on any layout change.  Loading rejects other
 #: versions before deserialising any simulation state.  Version 2: Bell
 #: pairs pickle their four weights as floats, and the envelope no longer
-#: carries a weight-store occupancy.
-CHECKPOINT_VERSION = 2
+#: carries a weight-store occupancy.  Version 3: links hold no
+#: pre-computed generation chains and count attempts/busy time in plain
+#: attributes.
+CHECKPOINT_VERSION = 3
 
 _MAGIC = "repro-checkpoint"
 

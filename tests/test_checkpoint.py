@@ -372,16 +372,19 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_checkpoint(path)
 
-    def test_version_one_refused_before_unpickling_engine(self, tmp_path):
-        # A version-1 file carries the old Bell-pair layout; loading must
-        # refuse it from the envelope alone, never touching the blob.
-        path = tmp_path / "v1.ckpt"
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_version_one_refused_before_unpickling_engine(self, tmp_path,
+                                                          version):
+        # Version 1 carries the old Bell-pair layout, version 2 can carry
+        # pre-computed EGP chains; loading must refuse either from the
+        # envelope alone, never touching the blob.
+        path = tmp_path / f"v{version}.ckpt"
         path.write_bytes(pickle.dumps({
-            "magic": "repro-checkpoint", "version": 1,
+            "magic": "repro-checkpoint", "version": version,
             "counters": {"request_ids": 0, "circuit_ids": 0, "qubit_ids": 0},
             "store_peak_live": 0,
             "engine_blob": pickle.dumps(_ExplodesOnUnpickle())}))
-        with pytest.raises(CheckpointError, match="file has 1"):
+        with pytest.raises(CheckpointError, match=f"file has {version}"):
             load_checkpoint(path)
 
     def test_foreign_pickle_rejected(self, tmp_path):

@@ -1,11 +1,14 @@
 """Integration tests for the link layer EGP over simulated hardware."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.hardware import HeraldedConnection, NEAR_TERM, SIMULATION, SingleClickModel
 from repro.linklayer import Link
 from repro.netsim import S, Simulator
+from repro.netsim.ports import subscribe
 from repro.network import QuantumNode
 from repro.quantum import BellIndex, pair_fidelity
 
@@ -19,9 +22,16 @@ def make_link(seed=1, params=SIMULATION, length_km=0.002, slice_attempts=100):
     node_a.attach_link(link, "bob")
     node_b.attach_link(link, "alice")
     inbox_a, inbox_b = [], []
-    link.register_handler("alice", inbox_a.append)
-    link.register_handler("bob", inbox_b.append)
+    on_delivery(link, "alice", inbox_a.append)
+    on_delivery(link, "bob", inbox_b.append)
     return sim, link, node_a, node_b, inbox_a, inbox_b
+
+
+def on_delivery(link, node_name, handler):
+    """(Re)wire one endpoint's pair-delivery port to a plain callback."""
+    port = link.delivery_port(node_name)
+    port.disconnect()
+    subscribe(port, handler)
 
 
 def drain(node, delivery):
@@ -31,8 +41,8 @@ def drain(node, delivery):
 
 def test_generates_pairs_at_both_ends():
     sim, link, node_a, node_b, inbox_a, inbox_b = make_link()
-    link.register_handler("alice", lambda d: (inbox_a.append(d), drain(node_a, d)))
-    link.register_handler("bob", lambda d: (inbox_b.append(d), drain(node_b, d)))
+    on_delivery(link, "alice", lambda d: (inbox_a.append(d), drain(node_a, d)))
+    on_delivery(link, "bob", lambda d: (inbox_b.append(d), drain(node_b, d)))
     link.set_request("vc0", min_fidelity=0.9, lpr=50.0)
     sim.run(until=1 * S)
     assert len(inbox_a) == len(inbox_b) > 5
@@ -44,8 +54,8 @@ def test_generates_pairs_at_both_ends():
 
 def test_delivered_pairs_meet_min_fidelity():
     sim, link, node_a, node_b, inbox_a, inbox_b = make_link(seed=3)
-    link.register_handler("alice", inbox_a.append)
-    link.register_handler("bob", inbox_b.append)
+    on_delivery(link, "alice", inbox_a.append)
+    on_delivery(link, "bob", inbox_b.append)
     link.set_request("vc0", min_fidelity=0.95, lpr=50.0)
     sim.run(until=0.5 * S)
     assert inbox_a, "no pairs generated"
@@ -85,8 +95,8 @@ def test_mean_generation_time_matches_model():
         last[0] = sim.now
         drain(node_a, delivery)
 
-    link.register_handler("alice", consume)
-    link.register_handler("bob", lambda d: drain(node_b, d))
+    on_delivery(link, "alice", consume)
+    on_delivery(link, "bob", lambda d: drain(node_b, d))
     link.set_request("vc0", min_fidelity=0.95, lpr=50.0)
     sim.run(until=20 * S)
     alpha = link.model.alpha_for_fidelity(0.95)
@@ -99,9 +109,9 @@ def test_fidelity_rate_tradeoff_visible_end_to_end():
     results = {}
     for fidelity in (0.85, 0.95):
         sim, link, node_a, node_b, inbox_a, inbox_b = make_link(seed=11)
-        link.register_handler("alice", lambda d, n=node_a: drain(n, d))
+        on_delivery(link, "alice", lambda d, n=node_a: drain(n, d))
         count = []
-        link.register_handler("bob", lambda d, n=node_b: (count.append(1), drain(n, d)))
+        on_delivery(link, "bob", lambda d, n=node_b: (count.append(1), drain(n, d)))
         link.set_request("vc0", min_fidelity=fidelity, lpr=50.0)
         sim.run(until=5 * S)
         results[fidelity] = len(count)
@@ -116,8 +126,8 @@ def test_two_purposes_share_link_time():
         counts[delivery.purpose_id] += 1
         drain(node_a, delivery)
 
-    link.register_handler("alice", consume)
-    link.register_handler("bob", lambda d: drain(node_b, d))
+    on_delivery(link, "alice", consume)
+    on_delivery(link, "bob", lambda d: drain(node_b, d))
     link.set_request("vc0", min_fidelity=0.9, lpr=50.0)
     link.set_request("vc1", min_fidelity=0.9, lpr=50.0)
     sim.run(until=10 * S)
@@ -135,8 +145,8 @@ def test_equal_time_share_means_unequal_pair_counts():
         counts[delivery.purpose_id] += 1
         drain(node_a, delivery)
 
-    link.register_handler("alice", consume)
-    link.register_handler("bob", lambda d: drain(node_b, d))
+    on_delivery(link, "alice", consume)
+    on_delivery(link, "bob", lambda d: drain(node_b, d))
     link.set_request("hi", min_fidelity=0.95, lpr=50.0)
     link.set_request("lo", min_fidelity=0.85, lpr=50.0)
     sim.run(until=20 * S)
@@ -145,9 +155,9 @@ def test_equal_time_share_means_unequal_pair_counts():
 
 def test_end_request_stops_generation():
     sim, link, node_a, node_b, inbox_a, inbox_b = make_link(seed=19)
-    link.register_handler("alice", lambda d: drain(node_a, d))
+    on_delivery(link, "alice", lambda d: drain(node_a, d))
     seen = []
-    link.register_handler("bob", lambda d: (seen.append(1), drain(node_b, d)))
+    on_delivery(link, "bob", lambda d: (seen.append(1), drain(node_b, d)))
     link.set_request("vc0", min_fidelity=0.9, lpr=50.0)
     sim.run(until=1 * S)
     assert seen
@@ -194,17 +204,16 @@ def test_near_term_serializes_device():
         seen.append(delivery)
         node_b.qmm.free(delivery.entanglement_id)
 
-    link.register_handler("a", lambda d: node_a.qmm.free(d.entanglement_id))
-    link.register_handler("b", consume_b)
+    on_delivery(link, "a", lambda d: node_a.qmm.free(d.entanglement_id))
+    on_delivery(link, "b", consume_b)
     link.set_request("vc0", min_fidelity=0.7, lpr=1.0)
     sim.run(until=60 * S)
     assert len(seen) >= 2
 
 
-def _run_telemetry(batched, seed=31, until=5 * S, script=None):
+def _run_telemetry(seed=31, until=5 * S, script=None):
     """Full delivery trace of one link run; ``script`` mutates mid-run."""
     sim, link, node_a, node_b, inbox_a, inbox_b = make_link(seed=seed)
-    link.batched = batched
     trace = []
 
     def consume(end, node):
@@ -215,20 +224,25 @@ def _run_telemetry(batched, seed=31, until=5 * S, script=None):
             drain(node, delivery)
         return handler
 
-    link.register_handler("alice", consume("a", node_a))
-    link.register_handler("bob", consume("b", node_b))
+    on_delivery(link, "alice", consume("a", node_a))
+    on_delivery(link, "bob", consume("b", node_b))
     link.set_request("vc0", min_fidelity=0.9, lpr=50.0)
     if script:
         script(sim, link)
     sim.run(until=until)
-    return (trace, link.attempts_made, link.pairs_generated,
-            link.busy_time, sim.now, sim.events_processed > 0)
+    return trace, link
+
+
+def _assert_golden(trace, link, entries, attempts, pairs, busy_ns, digest):
+    assert (len(trace), link.attempts_made, link.pairs_generated,
+            link.busy_time) == (entries, attempts, pairs, busy_ns)
+    assert hashlib.sha256(repr(trace).encode()).hexdigest() == digest
 
 
 class TestRngBlockEquivalence:
-    """The batched EGP refills a 256-draw uniform block; block draws must
-    equal the same generator's sequential draws or batching would change
-    the trajectory."""
+    """The EGP refills a 256-draw uniform block from its per-link stream;
+    block draws must equal the same generator's sequential draws or the
+    buffer would change the trajectory."""
 
     def test_block_equals_sequential(self):
         block = np.random.default_rng(1234).random(64)
@@ -240,72 +254,72 @@ class TestRngBlockEquivalence:
         np.testing.assert_array_equal(block, one_by_one)
 
 
-class TestBatchedScalarEquivalence:
-    """The timeslot batcher must be an *optimisation*: byte-identical
-    delivery telemetry to the event-per-round scalar path for the same
-    seed, including around every mid-chain interrupt (the settle path)."""
+class TestDeliveryTraceGolden:
+    """Seeded delivery traces of the event-per-slice EGP, pinned exactly.
 
-    def test_steady_state_trace_identical(self):
-        batched = _run_telemetry(True)
-        scalar = _run_telemetry(False)
-        assert batched[:-1] == scalar[:-1]
-        assert batched[0], "no pairs delivered"
+    Each case pins (trace entries, attempts, pairs, busy ns) and a sha256
+    of the full delivery trace (end, time, entanglement ID, Bell index,
+    purpose, goodness).  Any change to the per-link draw order, the slice
+    loop or the WRR scheduler shows up here.
+    """
 
-    def test_trace_identical_across_seeds(self):
-        for seed in (1, 7, 12):
-            assert _run_telemetry(True, seed=seed)[:4] \
-                == _run_telemetry(False, seed=seed)[:4]
+    def test_steady_state_trace(self):
+        _assert_golden(
+            *_run_telemetry(), 1898, 474336, 949, 4999975776.0,
+            "e5209c3dfbf09da05b0ad8995cdc1944"
+            "1589e3f785906c4097bb678d936e5462")
 
-    def test_mid_run_set_request_settles_chain(self):
-        # A second purpose arriving mid-chain interrupts the batcher at an
-        # arbitrary (non-boundary) time; the settle path must replay the
-        # in-flight slice exactly as the scalar engine would.
+    def test_trace_across_seeds(self):
+        goldens = {
+            1: (1904, 474331, 952, 4999923071.0,
+                "fa6e92b3f2c61c51240d6b3de6c1be49"
+                "3b6207ba7f8476ec75f73f3962cf234a"),
+            7: (1908, 474255, 954, 4999121955.0,
+                "6f9bee68bd6d7099b3d6fc7ca8b3bb87"
+                "38c359511f9277bf0ca55456d225e467"),
+            12: (2042, 474300, 1021, 4999596300.0,
+                 "9c14b5a69883ff90f259316a9f03deee"
+                 "4579b9650b66233906b1acd1b4d87d1a"),
+        }
+        for seed, golden in goldens.items():
+            _assert_golden(*_run_telemetry(seed=seed), *golden)
+
+    def test_mid_run_set_request(self):
+        # A second purpose arrives at an arbitrary (non-boundary) time.
         def script(sim, link):
             sim.schedule(0.23 * S,
                          lambda: link.set_request("vc1", min_fidelity=0.9,
                                                   lpr=50.0))
 
-        batched = _run_telemetry(True, script=script)
-        scalar = _run_telemetry(False, script=script)
-        assert batched[:-1] == scalar[:-1]
-        purposes = {entry[4] for entry in batched[0]}
-        assert purposes == {"vc0", "vc1"}
+        trace, link = _run_telemetry(script=script)
+        _assert_golden(trace, link, 1898, 474336, 949, 4999975776.0,
+                       "c840afcf603cd0870198db6d2028df8c"
+                       "ac55323e35a8e9c2008b7715f6b56611")
+        assert {entry[4] for entry in trace} == {"vc0", "vc1"}
 
-    def test_mid_run_end_request_settles_chain(self):
+    def test_mid_run_end_request(self):
         def script(sim, link):
             sim.schedule(0.31 * S, link.end_request, "vc0")
 
-        batched = _run_telemetry(True, script=script)
-        scalar = _run_telemetry(False, script=script)
-        assert batched[:-1] == scalar[:-1]
+        _assert_golden(*_run_telemetry(script=script),
+                       128, 29498, 64, 310938418.0,
+                       "492e53b3bebcbddd20212376f489b8c0"
+                       "a1d3e4a533e65388365e0b6be1267ce3")
 
-    def test_wrr_two_purposes_identical(self):
-        # Multiple eligible requests exercise the shadow virtual-time
-        # replay inside the chain pre-computation.
+    def test_wrr_two_purposes(self):
         def script(sim, link):
             link.set_request("vc1", min_fidelity=0.85, lpr=50.0)
 
-        batched = _run_telemetry(True, seed=41, script=script)
-        scalar = _run_telemetry(False, seed=41, script=script)
-        assert batched[:-1] == scalar[:-1]
-
-    def test_batched_uses_fewer_events(self):
-        sims = {}
-        for batched in (True, False):
-            sim, link, node_a, node_b, *_ = make_link(seed=51)
-            link.batched = batched
-            link.register_handler("alice", lambda d, n=node_a: drain(n, d))
-            link.register_handler("bob", lambda d, n=node_b: drain(n, d))
-            link.set_request("vc0", min_fidelity=0.9, lpr=50.0)
-            sim.run(until=5 * S)
-            sims[batched] = sim.events_processed
-        assert sims[True] < sims[False]
+        _assert_golden(*_run_telemetry(seed=41, script=script),
+                       2438, 474299, 1219, 4999585759.0,
+                       "8a0b8433e42db747951669627a6dd0e1"
+                       "33769a81ef7523a6695fea626bb5721c")
 
 
 def test_statistics_counters():
     sim, link, node_a, node_b, inbox_a, inbox_b = make_link(seed=29)
-    link.register_handler("alice", lambda d: drain(node_a, d))
-    link.register_handler("bob", lambda d: drain(node_b, d))
+    on_delivery(link, "alice", lambda d: drain(node_a, d))
+    on_delivery(link, "bob", lambda d: drain(node_b, d))
     link.set_request("vc0", min_fidelity=0.9, lpr=50.0)
     sim.run(until=1 * S)
     assert link.pairs_generated > 0

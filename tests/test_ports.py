@@ -210,14 +210,3 @@ class TestDeprecationShims:
         node = QuantumNode(sim, "n0", SIMULATION)
         with pytest.warns(DeprecationWarning):
             node.register_handler("ping", lambda sender, payload: None)
-
-    def test_link_register_handler_warns(self):
-        from repro.network.builder import Network
-        from repro.hardware.parameters import SIMULATION
-
-        net = Network(Simulator(seed=1), SIMULATION)
-        net.add_node("a")
-        net.add_node("b")
-        link = net.connect("a", "b", 0.002)
-        with pytest.warns(DeprecationWarning):
-            link.register_handler("a", lambda delivery: None)

@@ -1,5 +1,6 @@
 """Tests for the traffic subsystem: topologies, arrivals, workload, metrics."""
 
+import hashlib
 import random
 
 import networkx as nx
@@ -186,34 +187,24 @@ def test_engine_deterministic_for_seed():
         assert first.classes[name].__dict__ == second.classes[name].__dict__
 
 
-def _grid_run(batched: bool):
-    """The seed-7 grid workload with the EGP batcher on or off."""
+def test_grid_workload_golden_telemetry():
+    """Whole-stack determinism pin: the seed-7 3x3 grid workload's
+    report, down to per-link utilisation and per-class counters."""
     net = build_topology("grid", 3, seed=7, formalism="bell")
-    for link in net.links.values():
-        link.batched = batched
     engine = TrafficEngine(net, circuits=4, load=0.8, seed=7)
     report = engine.run(horizon_s=0.5, drain_s=0.3)
-    return report
-
-
-def test_batched_egp_identical_telemetry_to_scalar():
-    """Whole-stack determinism regression for the timeslot batcher: the
-    seed-7 grid workload must produce byte-identical telemetry with
-    batching on (default) and off (event per slice)."""
-    batched = _grid_run(True)
-    scalar = _grid_run(False)
-    assert batched.total_sessions == scalar.total_sessions
-    assert batched.total_confirmed_pairs == scalar.total_confirmed_pairs
-    assert batched.fidelities == scalar.fidelities
-    assert batched.throughput_pairs_per_s == scalar.throughput_pairs_per_s
-    assert [s.pairs_generated for s in batched.links] \
-        == [s.pairs_generated for s in scalar.links]
-    assert [s.utilisation for s in batched.links] \
-        == [s.utilisation for s in scalar.links]
-    for name in batched.classes:
-        assert batched.classes[name].__dict__ \
-            == scalar.classes[name].__dict__
-    assert batched.total_confirmed_pairs > 0
+    assert report.total_sessions == 108
+    assert report.total_confirmed_pairs == 375
+    assert report.throughput_pairs_per_s == 468.75
+    telemetry = (report.fidelities,
+                 [s.pairs_generated for s in report.links],
+                 [s.utilisation for s in report.links],
+                 [s.attempts_made for s in report.links],
+                 {name: sorted(stats.__dict__.items())
+                  for name, stats in report.classes.items()})
+    assert hashlib.sha256(repr(telemetry).encode()).hexdigest() \
+        == "6a26e5fe4e0b1427e87495128a81b318" \
+           "9ddece92e724f023dab43bdac61ad7aa"
 
 
 def test_engine_both_formalisms_complete():
