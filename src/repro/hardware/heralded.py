@@ -454,7 +454,7 @@ class MidpointStation(Entity, Component):
     def _on_photon(self, photon: Photon) -> None:
         if self._window_clicks is None:
             # First arrival opens the window; the closing event is never
-            # cancelled, so use the pooled no-handle path.
+            # cancelled, so post it without a handle.
             self._window_clicks = [photon]
             self.sim.post(self.coincidence_window, self._close_window)
         else:

@@ -390,7 +390,7 @@ class Link(Entity, Component):
         success = attempts_needed <= slice_attempts
         burst = attempts_needed if success else slice_attempts
         # Round-finish events are never cancelled (interrupts act on the
-        # *state* the finisher reads), so use the pooled no-handle path.
+        # *state* the finisher reads), so post them without a handle.
         sim.post_at(sim._now + burst * self._cycle_time, self._finish_round,
                     request, burst, success, slot_a, slot_b, arbiters)
 

@@ -14,18 +14,16 @@ an earlier one (like a TCP stream would).
 Wiring: a channel is a :class:`~repro.netsim.ports.Component` with two
 ports, ``"a"`` and ``"b"`` (protocol :data:`CLASSICAL`).  A message
 received on one port is delivered out of the opposite port after the
-channel delay.  The pre-port :class:`ChannelEnd` objects survive as a
-deprecated compatibility surface (``ends[i].send`` / ``ends[i].connect``)
-that routes through the same ports.
+channel delay.  ``ends[i].send`` injects a message on side ``i``
+without wiring a sender component.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Callable
+from typing import Any
 
 from .entity import Entity
-from .ports import CallbackComponent, Component, connect
+from .ports import Component
 from .scheduler import Simulator
 from .units import fibre_delay
 
@@ -35,12 +33,7 @@ CLASSICAL = "classical"
 
 
 class ChannelEnd:
-    """Deprecated endpoint handle of a classical channel.
-
-    Kept for one release so external scripts that wired receivers with
-    ``channel.ends[i].connect(cb)`` keep working; new code connects to
-    ``channel.port("a")`` / ``channel.port("b")`` instead.
-    """
+    """Sending handle for one side of a classical channel."""
 
     def __init__(self, channel: "ClassicalChannel", index: int):
         self._channel = channel
@@ -50,26 +43,6 @@ class ChannelEnd:
     def port(self):
         """The channel port this end corresponds to."""
         return self._channel.port("a" if self._index == 0 else "b")
-
-    def connect(self, receiver: Callable[[Any], None]) -> None:
-        """Deprecated: register a receiver callback for this end.
-
-        Routes through the port graph: the callback is wrapped in a
-        :class:`~repro.netsim.ports.CallbackComponent` and connected to
-        the channel port, replacing any existing connection (the
-        historical overwrite semantics).
-        """
-        warnings.warn(
-            "ChannelEnd.connect() is deprecated; connect a component port "
-            "to ClassicalChannel.port('a'/'b') instead",
-            DeprecationWarning, stacklevel=2)
-        port = self.port
-        if port.connected:
-            port.disconnect()
-        adapter = CallbackComponent(
-            receiver, CLASSICAL,
-            name=f"{self._channel.name}.receiver[{self._index}]")
-        connect(port, adapter.io)
 
     def send(self, message: Any) -> None:
         """Send ``message`` to the opposite endpoint."""
@@ -144,8 +117,7 @@ class ClassicalChannel(Entity, Component):
             deliver_at = self._last_delivery[to_index]
         self._last_delivery[to_index] = deliver_at
         self.messages_sent += 1
-        # Deliveries are never cancelled, so use the pooled no-handle path
-        # (one recycled EventHandle instead of an allocation per message).
+        # Deliveries are never cancelled, so post them without a handle.
         self.sim.post_at(deliver_at, self._deliver_to, to_index, message)
 
     def _deliver_to(self, index: int, message: Any) -> None:

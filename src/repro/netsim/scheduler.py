@@ -8,20 +8,16 @@ a small, deterministic replacement for the NetSquid kernel the paper used:
   the same instant fire in the order they were scheduled (FIFO tie-break),
 * events can be cancelled through the handle returned by ``schedule``.
 
-Two hot-path refinements keep the kernel out of the profile at scale:
-
-* **O(1) pending count** — the simulator tracks a live cancelled-event
-  count, so :meth:`Simulator.pending_events` is a subtraction instead of a
-  queue scan (the builder's handshake and drain loops poll it per step);
-* **cancelled-heap compaction** — cancelled handles used to linger in the
-  heap until popped; the queue now compacts itself the moment cancelled
-  entries exceed half of it, bounding both memory and per-push log cost;
-* **handle pooling** — call sites that never cancel (generation rounds,
-  classical message delivery) schedule through :meth:`Simulator.post_at`,
-  which recycles :class:`EventHandle` objects from a free list.  Pooled
-  handles are never exposed to callers, so recycling cannot invalidate a
-  retained reference (timers and protocols that *do* cancel keep using
-  ``schedule``/``schedule_at`` and own their handle).
+Data layout.  Every queued event is a plain ``(time, seq, callback, args,
+handle)`` tuple, so the heap orders entries with CPython's C tuple
+comparison (``seq`` is unique, so the comparison never reaches the
+callback).  ``handle`` is the caller's :class:`EventHandle`, or ``None``
+for :meth:`Simulator.post_at` events, which nobody can cancel.  Events due
+at the current instant skip the heap: they go to a FIFO *same-instant
+lane* (a ``deque``), which is where zero-delay posts such as device-arbiter
+grants land.  A cancelled entry stays queued until it is popped; a live
+cancelled count keeps :meth:`Simulator.pending_events` O(1) and compacts
+the queue once more than half of it is dead.
 
 Example::
 
@@ -34,25 +30,22 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from typing import Any, Callable, Optional
 
 #: Queue length below which cancelled-entry compaction is not worth the
 #: rebuild (tiny heaps pop their dead entries almost immediately anyway).
 _COMPACT_MIN_QUEUE = 64
-#: Upper bound on the recycled-handle free list (plenty for the deepest
-#: in-flight window the stack produces; beyond it, handles are just dropped
-#: for the garbage collector).
-_POOL_LIMIT = 4096
 
 
 class SerialCounter:
     """Picklable drop-in for :func:`itertools.count`.
 
-    The kernel and several protocol layers hand out monotonically increasing
-    serial numbers (event sequence numbers, correlators, request and circuit
-    identifiers).  ``itertools.count`` cannot be serialised (pickling it is
-    deprecated since Python 3.12), so durable checkpoints use this two-line
-    counter instead; ``next(counter)`` keeps every call site unchanged.
+    Several protocol layers hand out monotonically increasing serial
+    numbers (correlators, request and circuit identifiers).
+    ``itertools.count`` cannot be serialised (pickling it is deprecated
+    since Python 3.12), so durable checkpoints use this two-line counter
+    instead; ``next(counter)`` keeps every call site unchanged.
     """
 
     __slots__ = ("value",)
@@ -75,58 +68,41 @@ class SerialCounter:
         self.value = state
 
 
-def _noop() -> None:
-    """Placeholder callback for reconstructed free-list handles."""
-
-
 class EventHandle:
     """Handle to a scheduled event, usable to cancel it before it fires."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "owner",
-                 "pooled")
+    __slots__ = ("time", "seq", "cancelled", "fired", "owner")
 
-    def __init__(self, time: float, seq: int, callback: Callable[..., Any], args: tuple):
+    def __init__(self, time: float, seq: int, owner: "Simulator"):
         self.time = time
         self.seq = seq
-        self.callback = callback
-        self.args = args
         self.cancelled = False
-        #: Simulator that queued the handle — notified on cancel so the
-        #: live cancelled-count (and hence compaction) stays exact.
-        self.owner: Optional["Simulator"] = None
-        #: True for internally recycled handles (:meth:`Simulator.post_at`).
-        self.pooled = False
+        self.fired = False
+        #: Simulator that queued the event — notified on cancel so the
+        #: live cancelled count (and hence compaction) stays exact.
+        self.owner = owner
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
-        if self.cancelled or self.callback is None:
-            return  # already cancelled or already fired
+        if self.cancelled or self.fired:
+            return
         self.cancelled = True
-        owner = self.owner
-        if owner is not None:
-            owner._note_cancel()
+        self.owner._note_cancel()
 
     @property
     def active(self) -> bool:
         """Whether the event is still pending (not cancelled, not fired)."""
-        return not self.cancelled and self.callback is not None
-
-    def _fire(self) -> None:
-        callback, args = self.callback, self.args
-        self.callback = None
-        self.args = ()
-        callback(*args)
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        # Tuple-free comparison: the heap compares handles on every push and
-        # pop, so avoiding two tuple allocations per comparison is measurable.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+        return not self.cancelled and not self.fired
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = ("cancelled" if self.cancelled else
+                 "fired" if self.fired else "pending")
         return f"<EventHandle t={self.time} seq={self.seq} {state}>"
+
+
+def _live(entry: tuple) -> bool:
+    handle = entry[4]
+    return handle is None or not handle.cancelled
 
 
 class Simulator:
@@ -141,18 +117,16 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0):
-        self._queue: list[EventHandle] = []
-        self._seq = SerialCounter()
+        #: Heap of ``(time, seq, callback, args, handle)`` entries due later.
+        self._queue: list[tuple] = []
+        #: Entries due at ``now``, in seq order (the same-instant lane).
+        self._lane: deque[tuple] = deque()
+        #: Next event sequence number (the FIFO tie-break).
+        self._seq = 0
         self._now = 0.0
-        self._running = False
         self._event_count = 0
-        #: Live count of cancelled handles still sitting in the heap.
+        #: Live count of cancelled entries still queued (heap and lane).
         self._cancelled = 0
-        #: Recycled handles for the no-cancel fast path (:meth:`post_at`).
-        self._pool: list[EventHandle] = []
-        #: Number of :meth:`post_at` calls served from the free list
-        #: (observability: pool effectiveness, sampled by ``repro.obs``).
-        self.pool_hits = 0
         self.rng = random.Random(seed)
         self.seed = seed
 
@@ -168,8 +142,8 @@ class Simulator:
 
     @property
     def heap_size(self) -> int:
-        """Raw heap length, cancelled entries included (for diagnostics)."""
-        return len(self._queue)
+        """Queued entries, cancelled ones included (for diagnostics)."""
+        return len(self._queue) + len(self._lane)
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now."""
@@ -179,37 +153,35 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule at {time} before now={self._now}")
-        handle = EventHandle(time, next(self._seq), callback, args)
-        handle.owner = self
-        heapq.heappush(self._queue, handle)
+        now = self._now
+        if time < now:
+            raise ValueError(f"cannot schedule at {time} before now={now}")
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, self)
+        if time == now:
+            self._lane.append((time, seq, callback, args, handle))
+        else:
+            heapq.heappush(self._queue, (time, seq, callback, args, handle))
         return handle
 
     def post_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule a **non-cancellable** event at absolute time ``time``.
 
-        The fast path for hot call sites that never cancel (link generation
-        rounds, classical message delivery): the handle comes from an
-        internal free list and is recycled after firing.  No handle is
-        returned — a caller that might need :meth:`EventHandle.cancel` must
-        use :meth:`schedule_at` instead.
+        For call sites that never cancel (link generation rounds, classical
+        message delivery, arbiter grants): no handle is made or returned.  A
+        caller that might need :meth:`EventHandle.cancel` must use
+        :meth:`schedule_at` instead.
         """
-        if time < self._now:
-            raise ValueError(f"cannot schedule at {time} before now={self._now}")
-        pool = self._pool
-        if pool:
-            handle = pool.pop()
-            self.pool_hits += 1
-            handle.time = time
-            handle.seq = next(self._seq)
-            handle.callback = callback
-            handle.args = args
+        now = self._now
+        if time < now:
+            raise ValueError(f"cannot schedule at {time} before now={now}")
+        seq = self._seq
+        self._seq = seq + 1
+        if time == now:
+            self._lane.append((time, seq, callback, args, None))
         else:
-            handle = EventHandle(time, next(self._seq), callback, args)
-            handle.owner = self
-            handle.pooled = True
-        heapq.heappush(self._queue, handle)
+            heapq.heappush(self._queue, (time, seq, callback, args, None))
 
     def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Relative-delay variant of :meth:`post_at`."""
@@ -231,35 +203,41 @@ class Simulator:
             ``RuntimeError``) — useful to catch accidental infinite loops in
             tests.
         """
-        self._running = True
         fired = 0
         queue = self._queue
-        pool = self._pool
+        lane = self._lane
         pop = heapq.heappop
-        try:
-            while queue:
+        popleft = lane.popleft
+        now = self._now
+        while True:
+            # The lane fires only once no heap entry is due now.  Every heap
+            # entry at time T was pushed while now < T, and every lane entry
+            # at T while now == T; time never goes back, so the heap entries
+            # due now all carry smaller seqs than any lane entry, and this
+            # order is exactly (time, seq).
+            if lane and not (queue and queue[0][0] <= now):
+                time, _, callback, args, handle = popleft()
+            elif queue:
                 head = queue[0]
-                if head.cancelled:
-                    pop(queue)
+                if until is not None and head[0] > until and _live(head):
+                    break
+                time, _, callback, args, handle = pop(queue)
+            else:
+                break
+            if handle is not None:
+                if handle.cancelled:
                     self._cancelled -= 1
                     continue
-                if until is not None and head.time > until:
-                    self._now = until
-                    break
-                pop(queue)
-                self._now = head.time
-                self._event_count += 1
-                fired += 1
-                if max_events is not None and fired > max_events:
-                    raise RuntimeError(f"exceeded max_events={max_events}")
-                head._fire()
-                if head.pooled and len(pool) < _POOL_LIMIT:
-                    pool.append(head)
-            else:
-                if until is not None and until > self._now:
-                    self._now = until
-        finally:
-            self._running = False
+                handle.fired = True
+            if time != now:
+                now = self._now = time
+            self._event_count += 1
+            fired += 1
+            if max_events is not None and fired > max_events:
+                raise RuntimeError(f"exceeded max_events={max_events}")
+            callback(*args)
+        if until is not None and until > now:
+            self._now = until
 
     def run_until_idle(self) -> None:
         """Run until no events remain."""
@@ -267,52 +245,43 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of queued, non-cancelled events — O(1)."""
-        return len(self._queue) - self._cancelled
+        return len(self._queue) + len(self._lane) - self._cancelled
+
+    def next_event_time(self) -> Optional[float]:
+        """Time of the next live event, or ``None`` when none is queued.
+
+        Drops cancelled entries from the front of the queue on the way,
+        keeping the cancelled count exact.
+        """
+        lane = self._lane
+        while lane and not _live(lane[0]):
+            lane.popleft()
+            self._cancelled -= 1
+        if lane:
+            return self._now
+        queue = self._queue
+        while queue and not _live(queue[0]):
+            heapq.heappop(queue)
+            self._cancelled -= 1
+        return queue[0][0] if queue else None
 
     def _note_cancel(self) -> None:
-        """Account one cancellation; compact once the heap is >50% dead."""
+        """Account one cancellation; compact once the queue is >50% dead."""
         self._cancelled += 1
-        if (self._cancelled * 2 > len(self._queue)
-                and len(self._queue) >= _COMPACT_MIN_QUEUE):
+        size = len(self._queue) + len(self._lane)
+        if self._cancelled * 2 > size and size >= _COMPACT_MIN_QUEUE:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled handles from the heap and re-heapify.
+        """Drop cancelled entries from the heap and the lane.
 
-        In place (``[:]``) on purpose: :meth:`run` holds a reference to the
-        queue list across callbacks, and a callback cancelling events may
-        trigger compaction mid-loop.
+        In place on purpose: :meth:`run` holds references to both containers
+        across callbacks, and a callback cancelling events may trigger
+        compaction mid-loop.
         """
-        self._queue[:] = [handle for handle in self._queue
-                          if not handle.cancelled]
+        self._queue[:] = [entry for entry in self._queue if _live(entry)]
         heapq.heapify(self._queue)
+        live = [entry for entry in self._lane if _live(entry)]
+        self._lane.clear()
+        self._lane.extend(live)
         self._cancelled = 0
-
-    def reset_time_guard(self) -> None:  # pragma: no cover - debugging aid
-        """Drop all pending events (used by a few torture tests)."""
-        self._queue.clear()
-        self._cancelled = 0
-
-    def __getstate__(self) -> dict:
-        # Checkpoints are taken from inside run() (a scheduled callback
-        # pickles the world), so the restored kernel must not believe the
-        # loop is still live.  Free-list handles are fired empties with no
-        # semantic content, but their *count* steers the pool_hits counter —
-        # persist the size and rebuild empties on restore so the resumed
-        # run's telemetry matches the uninterrupted one exactly.
-        state = self.__dict__.copy()
-        state["_running"] = False
-        state["_pool"] = len(self._pool)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        pool_size = state.pop("_pool", 0)
-        self.__dict__.update(state)
-        pool = []
-        for _ in range(pool_size):
-            handle = EventHandle(0.0, 0, _noop, ())
-            handle.callback = None
-            handle.owner = self
-            handle.pooled = True
-            pool.append(handle)
-        self._pool = pool

@@ -144,7 +144,6 @@ class Network:
         """
         obs, sim = self.obs, self.sim
         obs.counter("sim.events_processed", source=self._src_sim_events)
-        obs.counter("sim.pool_hits", source=self._src_sim_pool_hits)
         obs.gauge("sim.heap_size", source=self._src_sim_heap)
         obs.gauge("sim.pending_events", source=sim.pending_events)
         obs.counter("egp.attempts", source=self._src_egp_attempts)
@@ -170,9 +169,6 @@ class Network:
 
     def _src_sim_events(self) -> int:
         return self.sim.events_processed
-
-    def _src_sim_pool_hits(self) -> int:
-        return self.sim.pool_hits
 
     def _src_sim_heap(self) -> int:
         return self.sim.heap_size
@@ -673,14 +669,9 @@ class Network:
 
     def _step(self, limit: Optional[float] = None) -> None:
         """Advance the simulation by one event batch."""
-        queue = self.sim._queue
-        while queue and queue[0].cancelled:
-            import heapq
-
-            heapq.heappop(queue)
-        if not queue:
+        target = self.sim.next_event_time()
+        if target is None:
             return
-        target = queue[0].time
         if limit is not None:
             target = min(target, limit)
         self.sim.run(until=target)

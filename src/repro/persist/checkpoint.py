@@ -34,8 +34,9 @@ from typing import Optional
 #: pairs pickle their four weights as floats, and the envelope no longer
 #: carries a weight-store occupancy.  Version 3: links hold no
 #: pre-computed generation chains and count attempts/busy time in plain
-#: attributes.
-CHECKPOINT_VERSION = 3
+#: attributes.  Version 4: the scheduler queues plain event tuples in a
+#: heap plus a same-instant lane and keeps no recycled-handle pool.
+CHECKPOINT_VERSION = 4
 
 _MAGIC = "repro-checkpoint"
 

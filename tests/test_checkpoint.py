@@ -292,31 +292,16 @@ class TestRoundTripProperties:
         handles = [sim.schedule_at(t, recorder, tag)
                    for tag, t in enumerate([5.0, 1.0, 3.0, 3.0, 8.0, 2.0])]
         handles[2].cancel()  # a dead entry must not resurrect on restore
-        clone = pickle.loads(pickle.dumps(sim))
-        twin = next(handle.callback for handle in clone._queue
-                    if handle.active)
+        clone, twin = pickle.loads(pickle.dumps((sim, recorder)))
+        assert clone.pending_events() == sim.pending_events() == 5
         sim.run()
         clone.run()
         assert recorder.events == twin.events == [1, 5, 3, 0, 4]
         # The event-sequence stream continues from the same position, so
         # post-restore scheduling keeps the FIFO tie-break order.
-        assert next(sim._seq) == next(clone._seq)
-        assert clone.pending_events() == 0
-
-    def test_scheduler_pool_survives_round_trip(self):
-        sim = Simulator(seed=1)
-        recorder = _Recorder()
-        for tag in range(10):
-            sim.post_at(float(tag), recorder, tag)
-        sim.run()
-        clone = pickle.loads(pickle.dumps(sim))
-        assert len(clone._pool) == len(sim._pool) > 0
-        # A restored pool serves post_at() exactly like the original:
-        # the pool-hit telemetry stays deterministic across resume.
-        sim.post_at(sim.now + 1.0, recorder, 99)
-        clone_recorder = _Recorder()
-        clone.post_at(clone.now + 1.0, clone_recorder, 99)
-        assert clone.pool_hits == sim.pool_hits
+        assert (sim.schedule(1.0, recorder, 9).seq
+                == clone.schedule(1.0, twin, 9).seq)
+        assert clone.pending_events() == 1
 
     def test_live_bell_pair_round_trip(self):
         from repro.quantum.bellstate import create_bell_diagonal_pair
@@ -372,12 +357,13 @@ class TestEnvelope:
         with pytest.raises(CheckpointError, match="version mismatch"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_version_one_refused_before_unpickling_engine(self, tmp_path,
                                                           version):
         # Version 1 carries the old Bell-pair layout, version 2 can carry
-        # pre-computed EGP chains; loading must refuse either from the
-        # envelope alone, never touching the blob.
+        # pre-computed EGP chains, version 3 a heap of handle objects and
+        # a handle pool; loading must refuse each from the envelope alone,
+        # never touching the blob.
         path = tmp_path / f"v{version}.ckpt"
         path.write_bytes(pickle.dumps({
             "magic": "repro-checkpoint", "version": version,

@@ -1,7 +1,15 @@
 """Light unit tests: message dataclasses and the Network facade internals."""
 
+from types import SimpleNamespace
+
 from repro.core.messages import Complete, Direction, Expire, Forward, Track
-from repro.core.requests import DeliveryStatus, PairDelivery, RequestType
+from repro.core.requests import (
+    DeliveryStatus,
+    PairDelivery,
+    RequestStatus,
+    RequestType,
+)
+from repro.netsim import Simulator
 from repro.network.builder import MatchedPair, Network, _Submission
 from repro.obs import MetricsRegistry
 from repro.quantum import BellIndex
@@ -118,3 +126,19 @@ class TestSubmissionMatching:
                               make_delivery(("p", 0),
                                             status=DeliveryStatus.PENDING))
         assert submission._pending == {}
+
+
+class TestDrainLoop:
+    def test_cancelled_head_does_not_stop_drain_early(self):
+        # A cancelled event at the head of the queue must not throw off the
+        # live-event count: the drain has to keep going to the completer.
+        net = Network.__new__(Network)
+        net.sim = sim = Simulator()
+        handle = SimpleNamespace(status=RequestStatus.ACTIVE)
+        sim.schedule(1.0, lambda: None).cancel()
+        sim.schedule(2.0, lambda: None)
+        sim.schedule(3.0, setattr, handle, "status", RequestStatus.COMPLETED)
+        net.run_until_complete([handle])
+        assert handle.status is RequestStatus.COMPLETED
+        assert sim.heap_size == 0
+        assert sim.pending_events() == 0

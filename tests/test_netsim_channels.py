@@ -10,13 +10,14 @@ from repro.netsim import (
     fibre_delay,
     fibre_transmissivity,
 )
+from repro.netsim.ports import subscribe
 
 
 def make_channel(sim, **kwargs):
     channel = ClassicalChannel(sim, **kwargs)
     inbox_a, inbox_b = [], []
-    channel.ends[0].connect(inbox_a.append)
-    channel.ends[1].connect(inbox_b.append)
+    subscribe(channel.port("a"), inbox_a.append)
+    subscribe(channel.port("b"), inbox_b.append)
     return channel, inbox_a, inbox_b
 
 
@@ -50,9 +51,9 @@ def test_in_order_delivery():
 
 def test_processing_delay_added():
     sim = Simulator()
-    channel, _, inbox_b = make_channel(sim, length_km=0.0, processing_delay=3 * MS)
+    channel = ClassicalChannel(sim, length_km=0.0, processing_delay=3 * MS)
     received_at = []
-    channel.ends[1].connect(lambda m: received_at.append(sim.now))
+    subscribe(channel.port("b"), lambda m: received_at.append(sim.now))
     channel.ends[0].send("x")
     sim.run()
     assert received_at == [3 * MS]
@@ -95,8 +96,8 @@ def test_lossy_channel_drops_messages():
     sim = Simulator(seed=3)
     channel = LossyChannel(sim, loss_probability=0.5)
     inbox = []
-    channel.ends[1].connect(inbox.append)
-    channel.ends[0].connect(lambda m: None)
+    subscribe(channel.port("b"), inbox.append)
+    subscribe(channel.port("a"), lambda m: None)
     for i in range(200):
         sim.schedule(float(i), channel.ends[0].send, i)
     sim.run()

@@ -144,11 +144,11 @@ def test_cancelled_heap_compacts_beyond_half_dead():
     fired = []
     handles = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]
     keep = sim.schedule(1000.0, fired.append, 1)
-    assert len(sim._queue) == 101
+    assert sim.heap_size == 101
     # Cancelling past the 50% mark triggers an in-place compaction.
     for handle in handles:
         handle.cancel()
-    assert len(sim._queue) < 101
+    assert sim.heap_size < 101
     assert sim.pending_events() == 1
     assert keep.active
     sim.run()
@@ -161,7 +161,7 @@ def test_small_heaps_skip_compaction():
     for handle in handles:
         handle.cancel()
     # Below _COMPACT_MIN_QUEUE the dead entries stay until popped.
-    assert len(sim._queue) == 10
+    assert sim.heap_size == 10
     assert sim.pending_events() == 0
     sim.run()
     assert sim.events_processed == 0
@@ -188,21 +188,6 @@ def test_post_at_fires_in_fifo_order_with_schedule():
     sim.run()
     assert fired == ["early", "handle", "pooled"]
     assert sim.now == 5.0
-
-
-def test_post_at_recycles_handles():
-    sim = Simulator()
-    for _ in range(50):
-        sim.post(1.0, lambda: None)
-    sim.run()
-    pool_size = len(sim._pool)
-    assert pool_size > 0
-    # A second wave reuses the pooled handles instead of growing the pool.
-    for _ in range(pool_size):
-        sim.post(1.0, lambda: None)
-    assert len(sim._pool) == 0
-    sim.run()
-    assert len(sim._pool) == pool_size
 
 
 def test_post_at_in_past_rejected():

@@ -181,27 +181,6 @@ class TestPickle:
 
 
 class TestDeprecationShims:
-    def test_channel_end_connect_warns_and_still_delivers(self):
-        sim = Simulator()
-        channel = ClassicalChannel(sim, length_km=1.0)
-        inbox = []
-        with pytest.warns(DeprecationWarning):
-            channel.ends[1].connect(inbox.append)
-        channel.ends[0].send("legacy")
-        sim.run()
-        assert inbox == ["legacy"]
-
-    def test_channel_end_connect_overwrites_previous_receiver(self):
-        sim = Simulator()
-        channel = ClassicalChannel(sim, length_km=1.0)
-        first, second = [], []
-        with pytest.warns(DeprecationWarning):
-            channel.ends[1].connect(first.append)
-            channel.ends[1].connect(second.append)
-        channel.ends[0].send("msg")
-        sim.run()
-        assert first == [] and second == ["msg"]
-
     def test_node_register_handler_warns(self):
         from repro.hardware.parameters import SIMULATION
         from repro.network.node import QuantumNode

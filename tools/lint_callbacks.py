@@ -18,10 +18,8 @@ Rules, enforced by AST walk:
 2. no calls to the deprecated shim methods ``register_handler`` /
    ``attach_channel``.
 
-``repro/netsim/ports.py`` is exempt (the one place allowed to touch
-``Port.handler``), as is ``repro/netsim/scheduler.py``, whose pooled
-``EventHandle.callback`` slots are the event payloads of the kernel
-below the port layer, not inter-component wiring.
+``repro/netsim/ports.py`` is exempt: it is the one place allowed to touch
+``Port.handler``.
 
 Usage::
 
@@ -39,7 +37,7 @@ BANNED_ATTRS = frozenset({
     "callback", "_callback", "receiver", "_receiver",
 })
 BANNED_CALLS = frozenset({"register_handler", "attach_channel"})
-ALLOWED_FILES = frozenset({"netsim/ports.py", "netsim/scheduler.py"})
+ALLOWED_FILES = frozenset({"netsim/ports.py"})
 
 
 def _is_self(node: ast.expr) -> bool:
